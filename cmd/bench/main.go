@@ -29,7 +29,6 @@ import (
 
 	"adainf/internal/app"
 	"adainf/internal/cliflags"
-	"adainf/internal/core"
 	"adainf/internal/experiments"
 	"adainf/internal/gpu"
 	"adainf/internal/gpumem"
@@ -42,11 +41,8 @@ type benchResult struct {
 	WallNS      int64  `json:"wall_ns"`
 	AllocsPerOp uint64 `json:"allocs_per_op"`
 	BytesPerOp  uint64 `json:"bytes_per_op"`
-	// PlanWorkers marks intra-run parallel-planner variants (absent on
-	// the serial measurements the baseline comparison runs against).
-	PlanWorkers int `json:"plan_workers,omitempty"`
-	// ProfileWorkers marks parallel-profiler variants, likewise absent
-	// on the serial measurements.
+	// ProfileWorkers marks parallel-profiler variants (absent on the
+	// serial measurements the baseline comparison runs against).
 	ProfileWorkers int `json:"profile_workers,omitempty"`
 }
 
@@ -57,7 +53,6 @@ type benchFile struct {
 	GOMAXPROCS int           `json:"gomaxprocs"`
 	Workers    int           `json:"workers"`
 	Seed       int64         `json:"seed"`
-	PlanMemo   bool          `json:"plan_memo"`
 	Benchmarks []benchResult `json:"benchmarks"`
 }
 
@@ -90,9 +85,6 @@ func main() {
 		memprofile = flag.String("memprofile", "", "write a heap profile taken after the last artifact to this file")
 		failAbove  = flag.Float64("fail-above", 0,
 			"exit non-zero if any artifact's wall-clock regresses more than this fraction vs the baseline (0 disables, e.g. 0.2 = +20%)")
-		planWorkers = flag.Int("plan-workers", 0,
-			"scheduler candidate-search workers for the parallel variant (0 = GOMAXPROCS; 1 skips the variant)")
-		planMemo       = flag.Bool("plan-memo", true, "memoize session plans across periods")
 		profileWorkers = flag.Int("profile-workers", 0,
 			"offline-profiler workers for the cold-profiling variant (0 = GOMAXPROCS; 1 skips the variant)")
 		profClear = flag.Bool("profile-cache-clear", false,
@@ -110,7 +102,6 @@ func main() {
 	faultCfg, faultErr := cliflags.Faults("-faults", *faultSpec, *faultSeed)
 	if err := cliflags.First(
 		cliflags.Workers("-workers", *workers),
-		cliflags.Workers("-plan-workers", *planWorkers),
 		cliflags.Workers("-profile-workers", *profileWorkers),
 		cliflags.Lanes("-gpus", *gpus),
 		faultErr,
@@ -118,15 +109,10 @@ func main() {
 		fmt.Fprintf(os.Stderr, "bench: %v\n", err)
 		os.Exit(2)
 	}
-	pw := *planWorkers
-	if pw == 0 {
-		pw = runtime.GOMAXPROCS(0)
-	}
 	pfw := *profileWorkers
 	if pfw == 0 {
 		pfw = runtime.GOMAXPROCS(0)
 	}
-	core.SetDefaultPlanMemo(*planMemo)
 	if *profClear && *profDir != "" {
 		if _, err := profile.CleanCache(*profDir, 0); err != nil {
 			fmt.Fprintf(os.Stderr, "bench: clearing profile cache: %v\n", err)
@@ -155,7 +141,6 @@ func main() {
 		GOMAXPROCS: runtime.GOMAXPROCS(0),
 		Workers:    *workers,
 		Seed:       *seed,
-		PlanMemo:   *planMemo,
 	}
 	opts := experiments.Options{
 		Quick: true, Seed: *seed, Workers: *workers, ProfileCache: *profDir,
@@ -164,10 +149,6 @@ func main() {
 	}
 	opts.Faults = faultCfg
 	for _, a := range artifacts {
-		// The plain-named measurement plans serially so the baseline
-		// comparison (and -fail-above) stays apples-to-apples; the
-		// pw<N> variant then measures the intra-run parallel speedup.
-		core.SetDefaultPlanWorkers(1)
 		r, err := measure(a.fn, opts)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "bench: %s failed: %v\n", a.name, err)
@@ -177,21 +158,6 @@ func main() {
 		out.Benchmarks = append(out.Benchmarks, r)
 		fmt.Printf("%-12s %12v  %12d allocs  %14d B\n",
 			r.Name, time.Duration(r.WallNS).Round(time.Millisecond), r.AllocsPerOp, r.BytesPerOp)
-		if pw > 1 {
-			core.SetDefaultPlanWorkers(pw)
-			p, err := measure(a.fn, opts)
-			core.SetDefaultPlanWorkers(1)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "bench: %s (plan-workers %d) failed: %v\n", a.name, pw, err)
-				os.Exit(1)
-			}
-			p.Name = fmt.Sprintf("%s-pw%d", a.name, pw)
-			p.PlanWorkers = pw
-			out.Benchmarks = append(out.Benchmarks, p)
-			fmt.Printf("%-12s %12v  %12d allocs  %14d B  (%.2fx vs serial)\n",
-				p.Name, time.Duration(p.WallNS).Round(time.Millisecond), p.AllocsPerOp, p.BytesPerOp,
-				float64(r.WallNS)/float64(p.WallNS))
-		}
 	}
 
 	// Cold profiling: the dominant cost of any cold experiment run.
@@ -392,7 +358,7 @@ func compare(base, cur benchFile) {
 	fmt.Printf("%-8s %10s %10s %9s %8s %12s %12s %8s\n",
 		"bench", "base", "now", "speedup", "wall Δ%", "base allocs", "now allocs", "ratio")
 	for _, c := range cur.Benchmarks {
-		if c.PlanWorkers != 0 || c.ProfileWorkers != 0 {
+		if c.ProfileWorkers != 0 {
 			continue // intra-run variant, compared against its own serial run above
 		}
 		b, ok := byName[c.Name]

@@ -14,7 +14,7 @@
 // application's predicted peak session load, SLO, rank, and a latency
 // probe over the application's smallest structures. It consumes no
 // randomness and holds no state, so admission decisions are
-// byte-identical across repeats, planner parallelism, and fast-forward.
+// byte-identical across repeats.
 package admit
 
 import (

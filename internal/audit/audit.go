@@ -194,11 +194,10 @@ type Params struct {
 	// share-sum bound tolerates.
 	MinFraction float64
 	// StrictShare tightens the share-sum bound to the current
-	// session's GPUShare. Sound only for sched.SteadyStatePlanner
-	// methods, whose plans are pure functions of the current inputs —
-	// a method that caches plans across sessions (Scrooge's 100 ms
-	// solve window) may carry a sum computed against an earlier,
-	// larger share.
+	// session's GPUShare. Sound only for methods that plan every
+	// session afresh — a sched.WindowPlanner (Scrooge's 100 ms solve
+	// window) may carry a sum computed against an earlier, larger
+	// share.
 	StrictShare bool
 	// UtilSlack is the per-overlap tolerance of the OnUtilization
 	// bound max ≤ overlap × (1 + UtilSlack): it absorbs the

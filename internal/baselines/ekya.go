@@ -73,14 +73,6 @@ func NewEkya() *Ekya {
 // Name implements sched.Scheduler.
 func (e *Ekya) Name() string { return "Ekya" }
 
-// SteadyStatePlanning implements sched.SteadyStatePlanner: PlanSession
-// is an even split of the GPU share over the jobs with requests,
-// memoized per (app, requests, share) — independent of the session
-// index and start instant. (Scrooge deliberately does not implement
-// the marker: its plan cache is keyed by a window derived from the
-// session start, and cache misses charge a solve overhead.)
-func (e *Ekya) SteadyStatePlanning() {}
-
 // OnPeriodStart implements sched.Method: the resource-transfer
 // heuristic. Candidate retraining shares are scored by the estimated
 // time-weighted average accuracy over the period — retraining finishes

@@ -97,6 +97,10 @@ func (s *Scrooge) OnPeriodStart(ctx *sched.PeriodContext) (*sched.PeriodPlan, er
 	return plan, nil
 }
 
+// ReusesPlansAcrossSessions implements sched.WindowPlanner: one solve
+// serves every session of its 100 ms window.
+func (s *Scrooge) ReusesPlansAcrossSessions() {}
+
 // PlanSession implements sched.Scheduler. The optimization solve runs
 // once per 100 ms window (20 sessions) and its allocation is reused for
 // every session in the window, since the solve itself takes ~100 ms.

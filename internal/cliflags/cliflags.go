@@ -7,11 +7,12 @@ package cliflags
 import (
 	"fmt"
 
+	"adainf/internal/cluster"
 	"adainf/internal/faults"
 )
 
 // Workers validates a worker-count flag whose zero value means "one
-// per CPU" (-plan-workers, -profile-workers, -parallel, -workers).
+// per CPU" (-profile-workers, -parallel, -workers).
 // Only negative values are invalid.
 func Workers(name string, v int) error {
 	if v < 0 {
@@ -21,10 +22,10 @@ func Workers(name string, v int) error {
 }
 
 // Lanes validates a GPU lane-count flag (-gpus on repro and bench,
-// -ngpus on adainf): a server shards into at least one lane.
+// -ngpus on adainf): a server shards into 1 to cluster.MaxGPUs lanes.
 func Lanes(name string, v int) error {
-	if v < 1 {
-		return fmt.Errorf("%s must be >= 1, got %d", name, v)
+	if v < 1 || v > cluster.MaxGPUs {
+		return fmt.Errorf("%s must be in [1, %d], got %d", name, cluster.MaxGPUs, v)
 	}
 	return nil
 }

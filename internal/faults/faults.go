@@ -25,7 +25,7 @@
 // Every decision is a pure hash of (seed, fault kind, stable
 // coordinates such as period/session/app/node) — no shared RNG stream
 // is consumed — so injection at a fixed seed is byte-identical across
-// repeats, `-plan-workers` settings, and fast-forward on/off.
+// repeats and independent of the workload seed.
 package faults
 
 import (
@@ -103,9 +103,7 @@ func (c *Config) Enabled() bool {
 		c.MemFail > 0 || c.Burst > 0 || c.DriftSpike > 0 || c.GPUCrash > 0)
 }
 
-// GPUFaults reports whether lane crashes can fire. Fault-free and
-// lane-fault-free runs use this to keep their fast-forward keys (and so
-// their goldens) byte-identical to builds without lane faults.
+// GPUFaults reports whether lane crashes can fire.
 func (c *Config) GPUFaults() bool {
 	return c != nil && c.GPUCrash > 0
 }
@@ -594,8 +592,7 @@ func (in *Injector) LaneEvents(period, nLanes int, alive uint64) (uint64, []int,
 // SessionWord packs the per-session fault decisions for one app into a
 // bitmask: bit 0 is the memory fault, bits 1+2j / 2+2j are the
 // incremental fail/slow decisions of node j. Sessions with identical
-// words behave identically under faults, which keeps the fast-forward
-// memo sound (the word is appended to the session key).
+// words behave identically under faults.
 func (in *Injector) SessionWord(si int, app string, nodes []string, retraining bool) uint64 {
 	return in.SessionWordGPU(si, app, nodes, retraining, 0)
 }

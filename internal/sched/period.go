@@ -72,16 +72,13 @@ type Method interface {
 	OnPeriodStart(ctx *PeriodContext) (*PeriodPlan, error)
 }
 
-// SteadyStatePlanner marks a Method whose PlanSession output is a pure
-// function of the session's planning inputs: the GPU share, the jobs'
-// request counts, and the referenced instance/profile state. It must not
-// depend on the session index, the session start instant, or any hidden
-// state that evolves across calls (internal memoization is fine as long
-// as a hit returns exactly what the miss would have computed). The
-// serving loop uses the marker to gate steady-state fast-forward:
-// sessions whose inputs repeat replay the previously executed outcome
-// without calling PlanSession at all.
-type SteadyStatePlanner interface {
-	// SteadyStatePlanning is a no-op marker method.
-	SteadyStatePlanning()
+// WindowPlanner marks a Method that solves once per window of several
+// sessions and serves the solved plan to every session in the window
+// (Scrooge's 100 ms solve). A reused plan's fractions were sized
+// against the share of the session that solved it, so the runtime
+// auditor bounds their sum by the GPU capacity; every other method's
+// fraction sum is bounded by the current session's share.
+type WindowPlanner interface {
+	// ReusesPlansAcrossSessions is a no-op marker method.
+	ReusesPlansAcrossSessions()
 }

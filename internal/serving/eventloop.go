@@ -96,17 +96,13 @@ type runLoop struct {
 	work      []bool
 	drainAt   []int // scratch: sessions with pending retrain applications
 
-	ff *fastForward
-
 	// flt, when non-nil, is the deterministic fault injector
 	// (Config.Faults). Every decision it hands out is a pure hash of
 	// the fault seed and stable coordinates, so the loop consults it
 	// freely without perturbing the shared RNG stream.
 	flt *faults.Injector
 	// faultWords holds the current session's per-app fault-decision
-	// bitmasks (see faults.Injector.SessionWord); they extend the
-	// fast-forward key so a replay always matches the decisions the
-	// memoized execution ran under.
+	// bitmasks (see faults.Injector.SessionWord).
 	faultWords []uint64
 	// faultBusy records the GPU busy windows of failed whole-pool
 	// retraining attempts for the current period, in plan order; they
@@ -122,8 +118,7 @@ type runLoop struct {
 	// admit* slices carry the period's SLO-feasibility gate decisions:
 	// per-app per-session request caps (-1 = uncapped), the admitted GPU
 	// fraction, the degraded-serving flag (smallest structures, no
-	// retraining slice), suspended whole-pool retraining, and the packed
-	// words extending the fast-forward key.
+	// retraining slice), and suspended whole-pool retraining.
 	alive          uint64
 	maskDirty      bool
 	unplacedIdx    []int
@@ -131,7 +126,6 @@ type runLoop struct {
 	admitFrac      []float64
 	admitDegraded  []bool
 	suspendRetrain []bool
-	admitWords     []uint64
 
 	// aud, when non-nil, validates every event against the invariant
 	// catalog (see internal/audit). It is read-only: it never touches
@@ -200,10 +194,6 @@ func newRunLoop(cfg *Config, states []*appState, rec *metrics.Recorder, res *Res
 		l.predicted[i] = make([]int, l.sessionsPerPeriod)
 	}
 	l.work = make([]bool, l.sessionsPerPeriod)
-	_, steady := cfg.Method.(sched.SteadyStatePlanner)
-	if steady && !cfg.DisableFastForward {
-		l.ff = newFastForward()
-	}
 	if l.flt = faults.New(cfg.Faults); l.flt != nil {
 		l.faultWords = make([]uint64, len(states))
 		if cfg.NGPUs > 1 && l.flt.Config().GPUCrash > 0 {
@@ -211,34 +201,23 @@ func newRunLoop(cfg *Config, states []*appState, rec *metrics.Recorder, res *Res
 			l.admitFrac = make([]float64, len(states))
 			l.admitDegraded = make([]bool, len(states))
 			l.suspendRetrain = make([]bool, len(states))
-			l.admitWords = make([]uint64, len(states))
 			for i := range l.admitCap {
 				l.admitCap[i] = -1
 			}
 		}
 	}
 	if cfg.Audit || cfg.AuditReport != nil {
+		// A method that plans every session afresh sizes its fractions
+		// against that session's share, so their sum audits against it
+		// strictly; a window planner's reused plans audit against
+		// capacity.
+		_, window := cfg.Method.(sched.WindowPlanner)
 		l.aud = audit.New(cfg.AuditReport, audit.Params{
 			GPUs:        cfg.GPUs,
 			NGPUs:       cfg.NGPUs,
 			PerGPUBytes: l.topo.PerGPUBytes,
-			// Steady-state planners plan from the current share alone,
-			// so their fraction sums audit against it strictly.
-			StrictShare: steady,
+			StrictShare: !window,
 		})
-	}
-	// Methods with planner instrumentation get the run's collector, and
-	// audited runs additionally recompute every memoized session plan to
-	// prove the reuse equivalent (core.Scheduler.SetPlanMemoVerify).
-	if t, ok := cfg.Method.(interface {
-		SetTelemetry(*telemetry.Collector)
-	}); ok {
-		t.SetTelemetry(cfg.Telemetry)
-	}
-	if l.aud != nil {
-		if v, ok := cfg.Method.(interface{ SetPlanMemoVerify(bool) }); ok {
-			v.SetPlanMemoVerify(true)
-		}
 	}
 	return l
 }
@@ -257,9 +236,6 @@ func (l *runLoop) run() error {
 			func(simtime.Instant) { l.periodStart(p) })
 	}
 	l.eng.RunUntil(l.cfg.Clock.SessionStart(l.nSessions))
-	if l.ff != nil {
-		l.res.FastForwardHits = l.ff.hits
-	}
 	if l.aud != nil {
 		if err := l.aud.Finish(); err != nil {
 			l.fail(err)
@@ -270,11 +246,6 @@ func (l *runLoop) run() error {
 			l.fail(err)
 		}
 		l.res.AuditChecks = l.aud.Checks()
-	}
-	if m, ok := l.cfg.Method.(interface {
-		PlanMemoStats() (uint64, uint64, uint64)
-	}); ok {
-		l.res.PlanMemoHits, l.res.PlanMemoMisses, l.res.PlanMemoInvalidated = m.PlanMemoStats()
 	}
 	if l.gpuBusySec != nil {
 		laneSec := l.cfg.Horizon.Seconds() * l.cfg.GPUs / float64(l.cfg.NGPUs)
@@ -375,7 +346,6 @@ func (l *runLoop) periodStart(period int) {
 		}
 	}
 	for _, st := range l.states {
-		st.digestOK = false
 		clear(st.liveDists)
 		clear(st.poolDists)
 		clear(st.updatedAt)
@@ -626,18 +596,15 @@ func (l *runLoop) periodStart(period int) {
 		}
 	}
 
-	if l.ff != nil {
-		l.ff.reset()
-	}
 	l.scheduleNextWork(first - 1)
 }
 
 // laneEvents evolves the lane-liveness mask at a period boundary:
 // crash and recovery decisions are pure hashes of the fault seed and
 // (period, lane), so the mask's trajectory — and everything downstream
-// of it — is identical across repeats, planner parallelism, and
-// fast-forward. A change arms the failover re-pack placeApps performs
-// before any session plans against the new mask.
+// of it — is identical across repeats. A change arms the failover
+// re-pack placeApps performs before any session plans against the new
+// mask.
 func (l *runLoop) laneEvents(period int, start simtime.Instant) {
 	if l.admitCap == nil {
 		return
@@ -667,8 +634,7 @@ func (l *runLoop) laneEvents(period int, start simtime.Instant) {
 // Apps are ranked by the period's predicted load; the placement only
 // changes when the ranking does (or an app's working set would — those
 // are fixed for the run) or a lane-liveness change forces a failover
-// re-pack, so steady workloads keep a stable placement and the
-// fast-forward memo keys stay repeatable across periods. With a dead
+// re-pack, so steady workloads keep a stable placement. With a dead
 // lane the pack runs over the surviving lanes only; apps that fit
 // nowhere are left unplaced for the admission gate to shed.
 func (l *runLoop) placeApps(period int, start simtime.Instant, n int) {
@@ -764,7 +730,6 @@ func (l *runLoop) admitPeriod(period int, start simtime.Instant, n int) {
 		l.admitFrac[i] = 0
 		l.admitDegraded[i] = false
 		l.suspendRetrain[i] = false
-		l.admitWords[i] = 0
 	}
 	if l.alive == cluster.AllAlive(l.topo.NGPUs) && len(l.unplacedIdx) == 0 {
 		return
@@ -831,11 +796,6 @@ func (l *runLoop) admitPeriod(period int, start simtime.Instant, n int) {
 		if l.suspendRetrain[i] {
 			l.res.FaultSuspendedRetrainPeriods++
 		}
-		w := uint64(l.admitCap[i]+1) << 1
-		if l.admitDegraded[i] {
-			w |= 1
-		}
-		l.admitWords[i] = w
 	}
 }
 
@@ -901,7 +861,6 @@ func (l *runLoop) applyRetrain(pr *pendingRetrain) {
 	if st == nil {
 		return
 	}
-	st.digestOK = false
 	ni := st.inst.ByName[pr.Node]
 	target := st.poolDists[pr.Node]
 	if ni != nil && target != nil {
@@ -929,8 +888,7 @@ func (l *runLoop) scheduleNextWork(after int) {
 }
 
 // workSession executes one request-bearing session: session planning
-// followed by job execution, or a fast-forward replay when the
-// session's inputs repeat a memoized one.
+// followed by job execution.
 func (l *runLoop) workSession(sess int) {
 	if l.err != nil {
 		return
@@ -998,12 +956,9 @@ func (l *runLoop) workSession(sess int) {
 	}
 
 	if l.flt != nil {
-		// Per-app fault decisions for this session, computed before the
-		// fast-forward lookup so both the executed and the replayed path
-		// see (and count) the same decisions. The degraded-job counter
-		// and event key off the decision and the actual arrivals — both
-		// fast-forward key inputs — so they are identical with
-		// fast-forward on or off.
+		// Per-app fault decisions for this session; the degraded-job
+		// counter and event key off the decision and the actual
+		// arrivals.
 		for i, st := range l.states {
 			l.faultWords[i] = l.flt.SessionWord(sess, st.inst.App.Name, st.nodeNames, cfg.Retraining)
 			if l.faultWords[i]&1 != 0 && l.actual[i][si] > 0 {
@@ -1011,19 +966,6 @@ func (l *runLoop) workSession(sess int) {
 				l.tel.Degrade(start, sess, st.inst.App.Name)
 			}
 		}
-	}
-
-	var key []byte
-	capture := false
-	if l.ff != nil {
-		key = l.ff.sessionKey(share, l.predicted, l.actual, si, l.states, l.faultWords)
-		m, c := l.ff.lookup(key)
-		l.tel.FF(m != nil)
-		if m != nil {
-			l.replay(m, start, sess)
-			return
-		}
-		capture = c
 	}
 
 	ctx := l.ctx
@@ -1065,11 +1007,6 @@ func (l *runLoop) workSession(sess int) {
 		}
 	}
 
-	var memo *sessionMemo
-	if capture {
-		memo = &sessionMemo{overhead: plan.Overhead}
-	}
-	mutated := false
 	var sessionMakespan simtime.Duration
 	for i, st := range l.states {
 		if l.actual[i][si] == 0 {
@@ -1100,7 +1037,7 @@ func (l *runLoop) workSession(sess int) {
 			}
 			jp = &degraded
 		}
-		dur, mut, err := l.runJob(st, jp, plan.Overhead, start, l.actual[i][si], memo)
+		dur, err := l.runJob(st, jp, plan.Overhead, start, l.actual[i][si])
 		if err != nil {
 			l.fail(err)
 			return
@@ -1112,7 +1049,6 @@ func (l *runLoop) workSession(sess int) {
 				return
 			}
 		}
-		mutated = mutated || mut
 		if dur > sessionMakespan {
 			sessionMakespan = dur
 		}
@@ -1123,12 +1059,6 @@ func (l *runLoop) workSession(sess int) {
 	if sessionMakespan > l.maxSpan {
 		l.maxSpan = sessionMakespan
 	}
-	if memo != nil && !mutated {
-		// Only mutation-free sessions memoize: a hit must leave the
-		// simulation in exactly the state the full execution would.
-		memo.makespan = sessionMakespan
-		l.ff.store(key, memo)
-	}
 }
 
 // laneSession is workSession on a sharded server: each GPU lane gets
@@ -1136,9 +1066,7 @@ func (l *runLoop) workSession(sess int) {
 // session plan over only the apps placed on it, and its jobs execute
 // before the next lane plans — scheduler plans alias reusable arenas,
 // so lane g's plan must be consumed before lane g+1's PlanSession call
-// may overwrite it. The fast-forward memo covers the whole session
-// across lanes: its key carries the placement digest and every lane's
-// share, so a replay reproduces the same per-lane outcomes.
+// may overwrite it.
 func (l *runLoop) laneSession(sess int, start simtime.Instant, si int) {
 	cfg := l.cfg
 
@@ -1183,8 +1111,7 @@ func (l *runLoop) laneSession(sess int, start simtime.Instant, si int) {
 	if l.flt != nil {
 		// Per-app fault decisions, keyed by the owning lane so a
 		// placement change re-rolls them (two lanes never share a memory
-		// partition); computed before the fast-forward lookup exactly as
-		// on the single-partition path.
+		// partition).
 		for i, st := range l.states {
 			l.faultWords[i] = l.flt.SessionWordGPU(sess, st.inst.App.Name, st.nodeNames, cfg.Retraining, l.laneOf[i])
 			if l.faultWords[i]&1 != 0 && l.actual[i][si] > 0 {
@@ -1194,30 +1121,12 @@ func (l *runLoop) laneSession(sess int, start simtime.Instant, si int) {
 		}
 	}
 
-	var key []byte
-	capture := false
-	if l.ff != nil {
-		key = l.ff.laneKey(l.place.Digest(), l.alive, l.laneShare, l.predicted, l.actual, si, l.states, l.faultWords, l.admitWords)
-		m, c := l.ff.lookup(key)
-		l.tel.FF(m != nil)
-		if m != nil {
-			l.replay(m, start, sess)
-			return
-		}
-		capture = c
-	}
-
-	var memo *sessionMemo
-	if capture {
-		memo = &sessionMemo{}
-	}
-	mutated := false
 	var sessionMakespan simtime.Duration
 	// Apps the failover re-pack could not place shed every arrival:
 	// no lane can hold their working set until one recovers.
 	for _, i := range l.unplacedIdx {
 		if a := l.actual[i][si]; a > 0 {
-			l.shedRequests(start, sess, l.states[i], a, memo)
+			l.shedRequests(start, sess, l.states[i], a)
 			if l.err != nil {
 				return
 			}
@@ -1253,9 +1162,6 @@ func (l *runLoop) laneSession(sess int, start simtime.Instant, si int) {
 		if plan.Overhead > l.res.SessionOverhead {
 			l.res.SessionOverhead = plan.Overhead
 		}
-		if memo != nil && plan.Overhead > memo.overhead {
-			memo.overhead = plan.Overhead
-		}
 		if l.aud != nil {
 			if err := l.aud.OnSessionPlan(ctx, plan); err != nil {
 				l.fail(err)
@@ -1286,7 +1192,7 @@ func (l *runLoop) laneSession(sess int, start simtime.Instant, si int) {
 				// Degraded admission: the excess over the gate's cap is
 				// shed (recorded missed, so conservation closes) before
 				// the admitted remainder is served.
-				l.shedRequests(start, sess, st, shed, memo)
+				l.shedRequests(start, sess, st, shed)
 				if l.err != nil {
 					return
 				}
@@ -1329,7 +1235,7 @@ func (l *runLoop) laneSession(sess int, start simtime.Instant, si int) {
 				}
 				jp = &degraded
 			}
-			dur, mut, err := l.runJob(st, jp, plan.Overhead, start, served, memo)
+			dur, err := l.runJob(st, jp, plan.Overhead, start, served)
 			if err != nil {
 				l.fail(err)
 				return
@@ -1340,7 +1246,6 @@ func (l *runLoop) laneSession(sess int, start simtime.Instant, si int) {
 					return
 				}
 			}
-			mutated = mutated || mut
 			if dur > sessionMakespan {
 				sessionMakespan = dur
 			}
@@ -1352,19 +1257,13 @@ func (l *runLoop) laneSession(sess int, start simtime.Instant, si int) {
 	if sessionMakespan > l.maxSpan {
 		l.maxSpan = sessionMakespan
 	}
-	if memo != nil && !mutated {
-		memo.makespan = sessionMakespan
-		l.ff.store(key, memo)
-	}
 }
 
 // shedRequests records n requests of one app shed by the admission
 // gate: counted as SLO-missed (request conservation still closes),
 // never scored (nothing was served, so no prediction draws — the RNG
-// stream is untouched), traced, audited, and captured into the session
-// memo (when one is being built) so a fast-forward replay re-sheds
-// identically.
-func (l *runLoop) shedRequests(start simtime.Instant, sess int, st *appState, n int, memo *sessionMemo) {
+// stream is untouched), traced and audited.
+func (l *runLoop) shedRequests(start simtime.Instant, sess int, st *appState, n int) {
 	name := st.inst.App.Name
 	if l.aud != nil {
 		if err := l.aud.OnShed(sess, name, n); err != nil {
@@ -1382,66 +1281,6 @@ func (l *runLoop) shedRequests(start simtime.Instant, sess int, st *appState, n 
 		l.res.Requests++
 	}
 	l.res.FaultShedRequests += n
-	if memo != nil {
-		memo.jobs = append(memo.jobs, ffJob{st: st, shed: n})
-	}
-}
-
-// replay re-emits a memoized session's outcome. The recorder calls and
-// RNG draws are issued in exactly the order the full execution issued
-// them; only the per-request random draws run live, keeping the shared
-// RNG stream identical for everything downstream. Telemetry job spans
-// are emitted exactly as the full execution would, marked replayed
-// (memoized sessions are mutation-free, so retraining time is zero).
-func (l *runLoop) replay(m *sessionMemo, start simtime.Instant, sess int) {
-	l.ff.hits++
-	if m.overhead > l.res.SessionOverhead {
-		l.res.SessionOverhead = m.overhead
-	}
-	for i := range m.jobs {
-		j := &m.jobs[i]
-		if j.shed > 0 {
-			// A shed record: re-emit it exactly as the execution did
-			// (shed entries precede the same app's served job, if any).
-			l.shedRequests(start, sess, j.st, j.shed, nil)
-			if l.err != nil {
-				return
-			}
-			continue
-		}
-		if l.aud != nil {
-			if err := l.aud.OnServed(j.st.inst.App.Name, j.actual, j.met); err != nil {
-				l.fail(err)
-				return
-			}
-		}
-		l.rec.RecordJob(j.inferTotal, 0)
-		l.rec.RecordBusy(start.Add(j.lead), start.Add(j.latency), j.fraction)
-		if l.gpuBusySec != nil {
-			l.gpuBusySec[j.lane] += j.fraction * (j.latency - j.lead).Seconds()
-			l.tel.GPUBusy(j.lane, j.latency-j.lead, j.fraction)
-		}
-		l.tel.Job(start, sess, j.st.inst.App.Name, j.actual,
-			j.lead, j.inferTotal, 0, j.latency, j.met, true)
-		l.res.Jobs++
-		for r := 0; r < j.actual; r++ {
-			l.rec.RecordRequest(start, j.met)
-			l.res.Requests++
-		}
-		for _, leaf := range j.leaves {
-			for r := 0; r < j.actual; r++ {
-				class := leaf.live.Sample(l.rng)
-				correct := l.rng.Float64() < leaf.probs[class]
-				l.rec.RecordPrediction(start, correct, leaf.usedUpdated)
-			}
-		}
-	}
-	if m.makespan > 0 {
-		l.ewmaTa = time.Duration(0.1*float64(m.makespan) + 0.9*float64(l.ewmaTa))
-	}
-	if m.makespan > l.maxSpan {
-		l.maxSpan = m.makespan
-	}
 }
 
 // busyWindow is one failed retraining attempt's GPU occupancy.

@@ -122,45 +122,36 @@ func TestMetamorphicFaultFree(t *testing.T) {
 }
 
 // TestMetamorphicFaultDeterminism asserts injection at a fixed fault
-// seed is a pure function of the configuration: repeated runs are
-// bit-identical, and the fast-forward memo stays a pure optimization
-// under faults (identical metrics and fault counters with the memo
-// disabled, non-vacuously — the enabled run must replay sessions and
-// faults must actually fire).
+// seed is a pure function of the configuration: repeated audited runs
+// are bit-identical, fault counters included, non-vacuously — faults
+// must actually fire.
 func TestMetamorphicFaultDeterminism(t *testing.T) {
 	fc := faults.Default()
 	fc.Seed = 7
-	run := func(disableFF bool) *Result {
+	run := func() *Result {
 		t.Helper()
 		cfg := faultConfig(t, &fc)
 		cfg.Method = core.New(core.Options{})
 		cfg.Audit = true
-		cfg.DisableFastForward = disableFF
 		r, err := Run(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
 		return r
 	}
-	a, b := run(false), run(false)
+	a, b := run(), run()
 	sameResult(t, "same fault seed, repeated", a, b)
 	if faultActivity(a) == 0 {
 		t.Error("default schedule injected nothing; determinism check is vacuous")
 	}
-
-	noFF := run(true)
-	if a.FastForwardHits == 0 {
-		t.Error("no sessions replayed under faults; fast-forward check is vacuous")
+	if a.FaultIncrementalFailed+a.FaultIncrementalSlowed == 0 {
+		t.Error("no incremental-retraining fault fired; their counters go unchecked")
 	}
-	if noFF.FastForwardHits != 0 {
-		t.Errorf("%d replays with fast-forward disabled", noFF.FastForwardHits)
-	}
-	sameResult(t, "faulted ff vs no-ff", a, noFF)
 
 	// A different fault seed must be able to change the injection
 	// schedule (the seed actually participates in every decision).
 	fc.Seed = 8
-	other := run(false)
+	other := run()
 	if faultActivity(other) == faultActivity(a) &&
 		other.MeanAccuracy == a.MeanAccuracy && other.Jobs == a.Jobs {
 		t.Error("fault seeds 7 and 8 produced identical runs; seed may be ignored")

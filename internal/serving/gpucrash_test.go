@@ -80,34 +80,26 @@ func TestGPUCrashRecoveryUnderAudit(t *testing.T) {
 
 // TestMetamorphicGPUCrashDeterminism asserts the whole failover path —
 // crash schedule, re-pack, admission gate, shedding — is a pure
-// function of the seeds: repeated runs are bit-identical, and the
-// fast-forward memo (whose lane key now carries the alive mask and the
-// admission words) stays a pure optimization, non-vacuously.
+// function of the seeds: repeated audited runs are bit-identical,
+// non-vacuously.
 func TestMetamorphicGPUCrashDeterminism(t *testing.T) {
 	fc := &faults.Config{Seed: 5, GPUCrash: 1, GPUCrashMax: 1}
-	run := func(disableFF bool) *Result {
+	run := func() *Result {
 		t.Helper()
 		cfg := crashConfig(t, 2, fc)
 		cfg.Method = core.New(core.Options{})
 		cfg.Audit = true
-		cfg.DisableFastForward = disableFF
 		r, err := Run(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
 		return r
 	}
-	a, b := run(false), run(false)
+	a, b := run(), run()
 	sameResult(t, "same crash schedule, repeated", a, b)
 	if a.FaultGPUCrashes == 0 {
 		t.Error("no crash fired; determinism check is vacuous")
 	}
-
-	noFF := run(true)
-	if a.FastForwardHits == 0 {
-		t.Error("no sessions replayed under a lane crash; fast-forward check is vacuous")
-	}
-	sameResult(t, "crashed ff vs no-ff", a, noFF)
 }
 
 // TestGPUCrashSheddingUnderAudit overloads a small sharded server so
@@ -115,17 +107,16 @@ func TestMetamorphicGPUCrashDeterminism(t *testing.T) {
 // retraining suspended, yet the run stays audit-clean — shedding only
 // in the degraded-admission state, admitted fractions within the lane
 // capacity, conservation closed (shed requests counted missed) — and
-// the whole degraded regime replays bit-identically under fast-forward.
+// the whole degraded regime repeats bit-identically.
 func TestGPUCrashSheddingUnderAudit(t *testing.T) {
 	fc := &faults.Config{Seed: 5, GPUCrash: 1, GPUCrashMax: 1}
-	run := func(disableFF bool, rep *audit.Report) *Result {
+	run := func(rep *audit.Report) *Result {
 		t.Helper()
 		cfg := crashConfig(t, 2, fc)
 		cfg.GPUs = 0.5 // two 0.25-amount lanes: one cannot absorb both apps
 		cfg.RatePerApp = 600
 		cfg.Method = core.New(core.Options{})
 		cfg.AuditReport = rep
-		cfg.DisableFastForward = disableFF
 		r, err := Run(cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -133,7 +124,7 @@ func TestGPUCrashSheddingUnderAudit(t *testing.T) {
 		return r
 	}
 	var rep audit.Report
-	res := run(false, &rep)
+	res := run(&rep)
 	if rep.Total != 0 {
 		t.Error(rep.Err())
 	}
@@ -144,8 +135,8 @@ func TestGPUCrashSheddingUnderAudit(t *testing.T) {
 		t.Error("infeasible lane suspended no retraining")
 	}
 	var rep2 audit.Report
-	noFF := run(true, &rep2)
-	sameResult(t, "shedding ff vs no-ff", res, noFF)
+	again := run(&rep2)
+	sameResult(t, "shedding, repeated", res, again)
 }
 
 // TestGPUCrashSingleLaneInvisible pins the NGPUs = 1 contract: a

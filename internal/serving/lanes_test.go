@@ -86,51 +86,6 @@ func TestSingleLaneResultShape(t *testing.T) {
 	}
 }
 
-// TestMetamorphicLaneFastForward asserts the fast-forward memo stays a
-// pure optimization on a sharded server: the lane key (placement
-// digest + per-lane shares) must only replay sessions whose whole
-// cross-lane outcome repeats, so disabling the memo yields
-// bit-identical metrics.
-func TestMetamorphicLaneFastForward(t *testing.T) {
-	methods := []struct {
-		name  string
-		build func() sched.Method
-	}{
-		{"adainf", func() sched.Method { return core.New(core.Options{}) }},
-		{"ekya", func() sched.Method { return baselines.NewEkya() }},
-	}
-	for _, m := range methods {
-		fast := laneConfig(t, 2)
-		fast.Method = m.build()
-		fast.Audit = true
-		withFF, err := Run(fast)
-		if err != nil {
-			t.Fatalf("%s: %v", m.name, err)
-		}
-		slow := laneConfig(t, 2)
-		slow.Method = m.build()
-		slow.Audit = true
-		slow.DisableFastForward = true
-		withoutFF, err := Run(slow)
-		if err != nil {
-			t.Fatalf("%s disabled: %v", m.name, err)
-		}
-		if withFF.FastForwardHits == 0 {
-			t.Errorf("%s: no sessions replayed; metamorphic check is vacuous", m.name)
-		}
-		sameResult(t, m.name+" lanes", withFF, withoutFF)
-		if len(withFF.PerGPUUtilization) != len(withoutFF.PerGPUUtilization) {
-			t.Fatalf("%s: utilization lanes differ", m.name)
-		}
-		for g := range withFF.PerGPUUtilization {
-			if withFF.PerGPUUtilization[g] != withoutFF.PerGPUUtilization[g] {
-				t.Errorf("%s lane %d: utilization %v != %v (replay accounting drifted)",
-					m.name, g, withFF.PerGPUUtilization[g], withoutFF.PerGPUUtilization[g])
-			}
-		}
-	}
-}
-
 // TestLaneTrace asserts a sharded run's decision trace carries the
 // placement events and per-lane busy counters, validates against the
 // schema, and — read-only telemetry — leaves metrics bit-identical.

@@ -22,6 +22,7 @@ import (
 
 	"adainf/internal/app"
 	"adainf/internal/audit"
+	"adainf/internal/cluster"
 	"adainf/internal/dist"
 	"adainf/internal/dnn"
 	"adainf/internal/faults"
@@ -49,7 +50,7 @@ type Config struct {
 	// lanes by profiled working-set bytes and predicted load
 	// (internal/cluster), each lane runs its own session planning over
 	// its GPUs/NGPUs share of the compute, and retraining is charged to
-	// the owning lane.
+	// the owning lane. At most cluster.MaxGPUs.
 	NGPUs int
 	// Horizon is the simulated duration (default 1000 s as §2).
 	Horizon simtime.Duration
@@ -93,11 +94,6 @@ type Config struct {
 	// AuditReport, when non-nil, enables auditing in accumulate mode:
 	// violations collect here and the run completes. Implies Audit.
 	AuditReport *audit.Report
-	// DisableFastForward forces full planning and execution of every
-	// work session, even for steady-state planners. Metrics are
-	// identical either way (the metamorphic-test knob for the
-	// fast-forward memo; also a debugging aid).
-	DisableFastForward bool
 	// Telemetry, when non-nil, collects the run's latency histograms
 	// and/or JSONL decision trace (see internal/telemetry). Telemetry
 	// is strictly read-only observability: it never draws from the RNG
@@ -133,8 +129,8 @@ func (c *Config) fillDefaults() error {
 	if c.NGPUs == 0 {
 		c.NGPUs = 1
 	}
-	if c.NGPUs < 1 {
-		return fmt.Errorf("serving: %d GPU lanes", c.NGPUs)
+	if c.NGPUs < 1 || c.NGPUs > cluster.MaxGPUs {
+		return fmt.Errorf("serving: %d GPU lanes (want 1 to %d)", c.NGPUs, cluster.MaxGPUs)
 	}
 	if c.Horizon == 0 {
 		c.Horizon = 1000 * time.Second
@@ -196,12 +192,6 @@ type Result struct {
 	Requests int
 	Jobs     int
 
-	// FastForwardHits counts sessions served by steady-state
-	// fast-forward replay instead of full planning and execution
-	// (diagnostic; identical runs produce identical metrics whether a
-	// session replayed or executed).
-	FastForwardHits int
-
 	// AuditChecks counts the invariant evaluations the auditor
 	// performed (zero when auditing was disabled).
 	AuditChecks int
@@ -239,12 +229,6 @@ type Result struct {
 	RetrainLatency telemetry.Summary
 	QueueDelay     telemetry.Summary
 
-	// PlanMemo* count the method's session-plan memo outcomes
-	// (diagnostic; zero for methods without plan memoization — a memo
-	// hit produces the byte-identical plan a recomputation would).
-	PlanMemoHits        uint64
-	PlanMemoMisses      uint64
-	PlanMemoInvalidated uint64
 	// PlanningTime summarizes the wall-clock planning histogram (zero
 	// unless Config.Telemetry had histograms enabled).
 	PlanningTime telemetry.Summary
@@ -252,7 +236,7 @@ type Result struct {
 	// Fault* count the injections a faulted run (Config.Faults) actually
 	// fired; all zero with faults disabled. They are deterministic —
 	// pure functions of the fault seed and the workload — so repeated
-	// runs and fast-forward on/off report identical counts.
+	// runs report identical counts.
 	FaultRetrainSlowed     int // whole-pool retrains stretched by the slow factor
 	FaultRetrainFailures   int // failed whole-pool attempts (retries included)
 	FaultRetrainAbandoned  int // whole-pool retrains given up on (stale model serves)
@@ -319,9 +303,6 @@ type appState struct {
 	costs *profile.LatencyCache
 	// tableIdx maps node name → costs table index (App.Nodes order).
 	tableIdx map[string]int
-	// digestCache/digestOK memoize digest() between mutations.
-	digestCache uint64
-	digestOK    bool
 }
 
 // leafProbs is one probMemo entry: the cached correctness vector and
@@ -604,19 +585,14 @@ func jobPlanFor(plan *sched.SessionPlan, appName string) *sched.JobPlan {
 // runJob executes one job against the cost model: incremental
 // retraining (when planned) followed by inference per DAG node, scoring
 // every request's predictions and SLO outcome. It returns the job's
-// completion offset from the session start and whether it mutated any
-// simulation state beyond the metrics (i.e. made retraining progress) —
-// sessions whose jobs all report false are eligible for fast-forward
-// memoization into memo (which may be nil).
+// completion offset from the session start.
 func (l *runLoop) runJob(st *appState, jp *sched.JobPlan,
-	lead simtime.Duration, start simtime.Instant, actual int,
-	memo *sessionMemo) (simtime.Duration, bool, error) {
+	lead simtime.Duration, start simtime.Instant, actual int) (simtime.Duration, error) {
 
 	cfg := l.cfg
 	rec := l.rec
 	rng := l.rng
 	res := l.res
-	mutated := false
 	a := st.inst.App
 	fraction := 0.0
 	batch := 0
@@ -642,7 +618,7 @@ func (l *runLoop) runJob(st *appState, jp *sched.JobPlan,
 	for _, np := range nodes {
 		ni := st.inst.ByName[np.Node]
 		if ni == nil {
-			return 0, false, fmt.Errorf("serving: plan for unknown node %q of %q", np.Node, a.Name)
+			return 0, fmt.Errorf("serving: plan for unknown node %q of %q", np.Node, a.Name)
 		}
 		// Incremental retraining before the node's inference (§3.2):
 		// the job trains for its allocated slice, with fractional
@@ -662,13 +638,9 @@ func (l *runLoop) runJob(st *appState, jp *sched.JobPlan,
 					// Incremental slice faults: a failure discards the
 					// slice's samples, a slowdown trains 1/factor of them.
 					// The planned slice latency stands either way, so the
-					// session's latency SLO is untouched. Marking the
-					// session mutated keeps it out of the fast-forward
-					// memo, so faulted slices always execute (and count)
-					// identically with fast-forward on or off.
+					// session's latency SLO is untouched.
 					fail, slow := l.flt.IncrementalRetrain(l.ctx.Session, a.Name, np.Node)
 					if fail {
-						mutated = true
 						res.FaultIncrementalFailed++
 						l.tel.RetrainFault(start, a.Name, np.Node, "increm-fail", 0)
 						t = t.Add(lat)
@@ -676,15 +648,12 @@ func (l *runLoop) runJob(st *appState, jp *sched.JobPlan,
 						rec.RecordRetrainEffort(start, lat, 0)
 						samplesF = 0
 					} else if slow {
-						mutated = true
 						res.FaultIncrementalSlowed++
 						l.tel.RetrainFault(start, a.Name, np.Node, "increm-slow", 0)
 						samplesF /= l.flt.Config().RetrainSlowFactor
 					}
 				}
 				if samplesF > 0 {
-					mutated = true
-					st.digestOK = false
 					st.carry[np.Node] += samplesF
 					whole := int(st.carry[np.Node])
 					if whole > 0 {
@@ -710,16 +679,16 @@ func (l *runLoop) runJob(st *appState, jp *sched.JobPlan,
 		// profile API, so latencies are bit-identical).
 		ti, ok := st.tableIdx[np.Node]
 		if !ok {
-			return 0, false, fmt.Errorf("serving: no latency table for node %q of %q", np.Node, a.Name)
+			return 0, fmt.Errorf("serving: no latency table for node %q of %q", np.Node, a.Name)
 		}
 		tb := st.costs.Tables()[ti]
 		si, err := tb.StructIdx(np.Structure)
 		if err != nil {
-			return 0, false, err
+			return 0, err
 		}
 		per, err := st.costs.PerBatch(ti, si, tb.BatchIdx(batch), fraction)
 		if err != nil {
-			return 0, false, err
+			return 0, err
 		}
 		inferLat := per * simtime.Duration(nBatches)
 		t = t.Add(inferLat)
@@ -735,7 +704,7 @@ func (l *runLoop) runJob(st *appState, jp *sched.JobPlan,
 		l.gpuBusySec[l.curLane] += fraction * jobEnd.Sub(jobStart).Seconds()
 		l.tel.GPUBusy(l.curLane, jobEnd.Sub(jobStart), fraction)
 	}
-	l.tel.Job(start, l.ctx.Session, a.Name, actual, lead, inferTotal, retrainTotal, latency, met, false)
+	l.tel.Job(start, l.ctx.Session, a.Name, actual, lead, inferTotal, retrainTotal, latency, met)
 	res.Jobs++
 
 	// Score every request: one SLO outcome per request and one
@@ -744,7 +713,6 @@ func (l *runLoop) runJob(st *appState, jp *sched.JobPlan,
 		rec.RecordRequest(start, met)
 		res.Requests++
 	}
-	var mleaves []ffLeaf
 	for _, leaf := range st.leaves {
 		ni := st.inst.ByName[leaf]
 		live := st.liveDists[leaf]
@@ -766,35 +734,13 @@ func (l *runLoop) runJob(st *appState, jp *sched.JobPlan,
 		}
 		probs := pm.probs
 		usedUpdated := st.updated[leaf]
-		if memo != nil {
-			// pm.probs is immutable once built, so the fast-forward
-			// memo can alias it instead of copying.
-			mleaves = append(mleaves, ffLeaf{
-				live:        live,
-				probs:       probs,
-				usedUpdated: usedUpdated,
-			})
-		}
 		for r := 0; r < actual; r++ {
 			class := live.Sample(rng)
 			correct := rng.Float64() < probs[class]
 			rec.RecordPrediction(start, correct, usedUpdated)
 		}
 	}
-	if memo != nil {
-		memo.jobs = append(memo.jobs, ffJob{
-			st:         st,
-			lane:       l.curLane,
-			actual:     actual,
-			fraction:   fraction,
-			lead:       lead,
-			latency:    latency,
-			inferTotal: inferTotal,
-			met:        met,
-			leaves:     mleaves,
-		})
-	}
-	return latency, mutated, nil
+	return latency, nil
 }
 
 func fallbackBatch(actual int) int {

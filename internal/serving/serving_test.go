@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"adainf/internal/app"
+	"adainf/internal/audit"
 	"adainf/internal/baselines"
 	"adainf/internal/core"
 	"adainf/internal/gpu"
@@ -104,11 +105,131 @@ func TestRetrainingImprovesAccuracy(t *testing.T) {
 	}
 }
 
+// TestRunDeterministicForSeed asserts a serving run is a pure function
+// of its configuration: repeated audited runs of AdaInf and Ekya, on
+// one GPU partition and sharded across two lanes, are bit-identical,
+// per-lane utilization included.
 func TestRunDeterministicForSeed(t *testing.T) {
-	a := shortRun(t, core.New(core.Options{}), true)
-	b := shortRun(t, core.New(core.Options{}), true)
-	if a.MeanAccuracy != b.MeanAccuracy || a.MeanFinishRate != b.MeanFinishRate || a.Requests != b.Requests {
-		t.Fatalf("same seed diverged: %+v vs %+v", a, b)
+	apps, profs := fixtures(t)
+	single := Config{
+		Apps:               apps,
+		GPUs:               4,
+		Horizon:            100 * time.Second,
+		Seed:               11,
+		RatePerApp:         150,
+		Retraining:         true,
+		DivergentSelection: true,
+		PoolSamples:        2000,
+		Profiles:           profs,
+	}
+	servers := []struct {
+		name string
+		cfg  Config
+	}{{"one partition", single}, {"two lanes", laneConfig(t, 2)}}
+	methods := []struct {
+		name  string
+		build func() sched.Method
+	}{
+		{"adainf", func() sched.Method { return core.New(core.Options{}) }},
+		{"ekya", func() sched.Method { return baselines.NewEkya() }},
+	}
+	for _, m := range methods {
+		for _, srv := range servers {
+			run := func() *Result {
+				t.Helper()
+				cfg := srv.cfg
+				cfg.Method = m.build()
+				cfg.Audit = true
+				r, err := Run(cfg)
+				if err != nil {
+					t.Fatalf("%s on %s: %v", m.name, srv.name, err)
+				}
+				return r
+			}
+			a, b := run(), run()
+			sameResult(t, m.name+" on "+srv.name, a, b)
+			if n := srv.cfg.NGPUs; n > 1 && len(a.PerGPUUtilization) != n {
+				t.Errorf("%s on %s: %d lane utilizations", m.name, srv.name, len(a.PerGPUUtilization))
+			}
+		}
+	}
+}
+
+// The share-halving wrappers embed a scheduler, so each carries exactly
+// its scheduler's method set (markers included), and halve the
+// session's GPU share after planning: the auditor then sees a plan
+// sized for twice the share it is told, but within capacity.
+type (
+	halfShareAdaInf  struct{ *core.Scheduler }
+	halfShareEkya    struct{ *baselines.Ekya }
+	halfShareScrooge struct{ *baselines.Scrooge }
+)
+
+func planHalvingShare(s sched.Scheduler, ctx *sched.SessionContext) (*sched.SessionPlan, error) {
+	plan, err := s.PlanSession(ctx)
+	ctx.GPUShare /= 2
+	return plan, err
+}
+
+func (h halfShareAdaInf) PlanSession(ctx *sched.SessionContext) (*sched.SessionPlan, error) {
+	return planHalvingShare(h.Scheduler, ctx)
+}
+
+func (h halfShareEkya) PlanSession(ctx *sched.SessionContext) (*sched.SessionPlan, error) {
+	return planHalvingShare(h.Ekya, ctx)
+}
+
+func (h halfShareScrooge) PlanSession(ctx *sched.SessionContext) (*sched.SessionPlan, error) {
+	return planHalvingShare(h.Scrooge, ctx)
+}
+
+// TestAuditShareBound pins which bound the share-sum audit applies:
+// AdaInf and Ekya plan every session afresh, so their fraction sums are
+// checked against the session's share and a plan oversubscribing it is
+// flagged; Scrooge reuses one solve across its window, so its sums are
+// checked against capacity and the same oversubscription passes.
+func TestAuditShareBound(t *testing.T) {
+	apps, profs := fixtures(t)
+	for _, tc := range []struct {
+		name   string
+		method sched.Method
+		strict bool
+	}{
+		{"adainf", halfShareAdaInf{core.New(core.Options{})}, true},
+		{"ekya", halfShareEkya{baselines.NewEkya()}, true},
+		{"scrooge", halfShareScrooge{baselines.NewScrooge(false)}, false},
+	} {
+		var rep audit.Report
+		_, err := Run(Config{
+			Apps:               apps,
+			Method:             tc.method,
+			GPUs:               4,
+			Horizon:            50 * time.Second,
+			Seed:               11,
+			RatePerApp:         150,
+			Retraining:         true,
+			DivergentSelection: true,
+			PoolSamples:        2000,
+			Profiles:           profs,
+			AuditReport:        &rep,
+		})
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		shareViolations := 0
+		for _, v := range rep.Violations {
+			if v.Rule == audit.RuleShareSum {
+				shareViolations++
+			}
+		}
+		if tc.strict && shareViolations == 0 {
+			t.Errorf("%s: plans oversubscribing the session share passed the audit; "+
+				"its fraction sums are checked against capacity", tc.name)
+		}
+		if !tc.strict && shareViolations != 0 {
+			t.Errorf("%s: %d share-sum violations under the capacity bound: %v",
+				tc.name, shareViolations, rep.Err())
+		}
 	}
 }
 
@@ -191,6 +312,14 @@ func TestConfigValidation(t *testing.T) {
 	}
 	if _, err := Run(Config{Method: core.New(core.Options{}), GPUs: -1}); err == nil {
 		t.Fatal("negative GPUs accepted")
+	}
+	// The lane-liveness mask has one bit per lane.
+	if _, err := Run(Config{Method: core.New(core.Options{}), NGPUs: 65}); err == nil {
+		t.Fatal("65 GPU lanes accepted")
+	}
+	widest := Config{Method: core.New(core.Options{}), NGPUs: 64}
+	if err := widest.fillDefaults(); err != nil {
+		t.Fatalf("64 GPU lanes rejected: %v", err)
 	}
 }
 

@@ -18,7 +18,7 @@ var requiredFields = map[string][]string{
 	EvPeriodPlan:     {"period", "retrains", "overhead_ns", "cloud_bytes"},
 	EvSessionPlan:    {"session", "share", "overhead_ns", "jobs"},
 	EvJobPlan:        {"session", "app", "fraction", "batch", "infer_ns", "retrain_ns"},
-	EvJob:            {"session", "app", "requests", "lead_ns", "infer_ns", "retrain_ns", "latency_ns", "met", "replay"},
+	EvJob:            {"session", "app", "requests", "lead_ns", "infer_ns", "retrain_ns", "latency_ns", "met"},
 	EvRetrainApply:   {"app", "node", "samples", "apply_session", "plan_idx"},
 	EvRetrainDiscard: {"app", "node", "samples"},
 	EvEvict:          {"app", "model", "layer", "kind", "bytes", "score", "pin"},
@@ -26,8 +26,7 @@ var requiredFields = map[string][]string{
 	EvCacheCorrupt:   {"app"},
 	EvProfileBuild:   {"app", "wall_ms", "workers", "units", "cached"},
 	EvProfileUnit:    {"app", "node", "unit", "wall_ms"},
-	EvPlanMemo:       {"outcome", "digest"},
-	EvCounters:       {"ff_hits", "ff_misses", "cache_hits", "cache_misses", "cache_corrupt", "plan_hits", "plan_misses", "plan_invalidated"},
+	EvCounters:       {"cache_hits", "cache_misses", "cache_corrupt"},
 	EvRetrainFault:   {"app", "node", "kind", "attempt"},
 	EvRetrainAbandon: {"app", "node", "attempts", "samples"},
 	EvDegrade:        {"session", "app"},
@@ -155,7 +154,7 @@ func ExportChrome(r io.Reader, w io.Writer) error {
 				Args: map[string]any{
 					"session": m["session"], "requests": m["requests"],
 					"infer_ms": us(m["infer_ns"]) / 1e3, "retrain_ms": us(m["retrain_ns"]) / 1e3,
-					"met": m["met"], "replay": m["replay"],
+					"met": m["met"],
 				},
 			})
 		case EvPeriod:
@@ -230,12 +229,8 @@ func ExportChrome(r io.Reader, w io.Writer) error {
 			})
 		case EvCounters:
 			out.TraceEvents = append(out.TraceEvents, chromeEvent{
-				Name: "fast-forward", Phase: "C", TS: ts, PID: pidControl, TID: 0,
-				Args: map[string]any{"hits": m["ff_hits"], "misses": m["ff_misses"]},
-			})
-			out.TraceEvents = append(out.TraceEvents, chromeEvent{
-				Name: "plan-memo", Phase: "C", TS: ts, PID: pidControl, TID: 0,
-				Args: map[string]any{"hits": m["plan_hits"], "misses": m["plan_misses"]},
+				Name: "profile-cache", Phase: "C", TS: ts, PID: pidControl, TID: 0,
+				Args: map[string]any{"hits": m["cache_hits"], "misses": m["cache_misses"]},
 			})
 		}
 	}

@@ -16,8 +16,7 @@ func noopHotPath(c *Collector) {
 	ts := simtime.Instant(time.Second)
 	c.SessionPlan(ts, 1, 0.5, 0, 8)
 	c.JobPlan(ts, 1, "app", 0.25, 16, time.Millisecond, 0)
-	c.Job(ts, 1, "app", 10, 0, time.Millisecond, 0, 2*time.Millisecond, true, false)
-	c.FF(true)
+	c.Job(ts, 1, "app", 10, 0, time.Millisecond, 0, 2*time.Millisecond, true)
 	c.Cache("app", true)
 	c.CacheCorrupt("app")
 	c.ProfileBuild("app", time.Millisecond, 4, 13, false)
@@ -47,7 +46,7 @@ func TestHistObserveZeroAlloc(t *testing.T) {
 	c := New(Options{Hist: true})
 	if allocs := testing.AllocsPerRun(1000, func() {
 		c.Job(simtime.Instant(time.Second), 1, "app", 10, 0,
-			time.Millisecond, time.Millisecond, 3*time.Millisecond, true, false)
+			time.Millisecond, time.Millisecond, 3*time.Millisecond, true)
 	}); allocs != 0 {
 		t.Fatalf("hist-only Job observation allocates %.1f/op; the contract is 0", allocs)
 	}

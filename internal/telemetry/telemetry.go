@@ -21,7 +21,7 @@ const (
 	EvPeriodPlan     = "period_plan"           // period, retrains, overhead_ns, cloud_bytes
 	EvSessionPlan    = "session_plan"          // session, share, overhead_ns, jobs
 	EvJobPlan        = "job_plan"              // session, app, fraction, batch, infer_ns, retrain_ns
-	EvJob            = "job"                   // executed/replayed job: app, session, requests, …
+	EvJob            = "job"                   // executed job: app, session, requests, …
 	EvRetrainApply   = "retrain_apply"         // app, node, samples, apply_session, plan_idx
 	EvRetrainDiscard = "retrain_discard"       // app, node, samples
 	EvEvict          = "evict"                 // gpumem eviction: app, model, layer, kind, bytes, score, pin
@@ -29,8 +29,7 @@ const (
 	EvCacheCorrupt   = "profile_cache_corrupt" // undecodable cache entry deleted: app
 	EvProfileBuild   = "profile_build"         // one app's profile build: app, wall_ms, workers, units, cached
 	EvProfileUnit    = "profile_unit"          // one profiling work unit: app, node, unit, wall_ms
-	EvPlanMemo       = "plan_memo"             // session-plan memo lookup: outcome, digest
-	EvCounters       = "counters"              // running counters: ff_hits, ff_misses, cache_hits, cache_misses, cache_corrupt, plan_hits, plan_misses, plan_invalidated
+	EvCounters       = "counters"              // running counters: cache_hits, cache_misses, cache_corrupt
 	EvRetrainFault   = "retrain_fault"         // injected retraining fault: app, node, kind, attempt
 	EvRetrainAbandon = "retrain_abandon"       // retraining abandoned after retries: app, node, attempts, samples
 	EvDegrade        = "degrade"               // GPU-mem fault degraded a job: session, app
@@ -80,10 +79,8 @@ type Collector struct {
 	buf []byte
 	err error
 
-	ffHits, ffMisses                      uint64
-	cacheHits, cacheMisses                uint64
-	cacheCorrupt                          uint64
-	planHits, planMisses, planInvalidated uint64
+	cacheHits, cacheMisses uint64
+	cacheCorrupt           uint64
 
 	// gpuBusyMs accumulates busy GPU-milliseconds per GPU lane
 	// (fraction × duration). Nil unless EnableGPUCounters sized it —
@@ -290,11 +287,11 @@ func (c *Collector) JobPlan(ts simtime.Instant, session int, app string, fractio
 	c.end()
 }
 
-// Job records one executed (or fast-forward-replayed) job: it feeds
-// the latency histograms and emits the job span. ts is the session
-// start; latency is measured from it (so it includes lead).
+// Job records one executed job: it feeds the latency histograms and
+// emits the job span. ts is the session start; latency is measured
+// from it (so it includes lead).
 func (c *Collector) Job(ts simtime.Instant, session int, app string, requests int,
-	lead, infer, retrain, latency simtime.Duration, met, replay bool) {
+	lead, infer, retrain, latency simtime.Duration, met bool) {
 	if c == nil {
 		return
 	}
@@ -318,7 +315,6 @@ func (c *Collector) Job(ts simtime.Instant, session int, app string, requests in
 	c.fInt("retrain_ns", int64(retrain))
 	c.fInt("latency_ns", int64(latency))
 	c.fBool("met", met)
-	c.fBool("replay", replay)
 	c.end()
 }
 
@@ -445,32 +441,6 @@ func (c *Collector) ProfileUnit(app, node, unit string, wall time.Duration) {
 	c.fStr("node", node)
 	c.fStr("unit", unit)
 	c.fFloat("wall_ms", float64(wall.Nanoseconds())*1e-6)
-	c.end()
-}
-
-// PlanMemo counts one session-plan memo lookup outcome ("hit", "miss",
-// or "invalidated" for an evicted entry) and emits it. The digest
-// identifies the plan key (hex, so the full 64 bits survive JSON).
-func (c *Collector) PlanMemo(ts simtime.Instant, outcome string, digest uint64) {
-	if c == nil {
-		return
-	}
-	switch outcome {
-	case "hit":
-		c.planHits++
-	case "miss":
-		c.planMisses++
-	case "invalidated":
-		c.planInvalidated++
-	}
-	if c.w == nil {
-		return
-	}
-	c.begin(ts, EvPlanMemo)
-	c.fStr("outcome", outcome)
-	c.buf = append(c.buf, `,"digest":"`...)
-	c.buf = strconv.AppendUint(c.buf, digest, 16)
-	c.buf = append(c.buf, '"')
 	c.end()
 }
 
@@ -667,34 +637,6 @@ func (c *Collector) PlanningObserve(d time.Duration) {
 	c.Planning.ObserveMs(float64(d.Nanoseconds()) * 1e-6)
 }
 
-// PlanMemoCounts returns the session-plan memo counters.
-func (c *Collector) PlanMemoCounts() (hits, misses, invalidated uint64) {
-	if c == nil {
-		return 0, 0, 0
-	}
-	return c.planHits, c.planMisses, c.planInvalidated
-}
-
-// FF counts one fast-forward memo lookup outcome.
-func (c *Collector) FF(hit bool) {
-	if c == nil {
-		return
-	}
-	if hit {
-		c.ffHits++
-	} else {
-		c.ffMisses++
-	}
-}
-
-// FFCounts returns the fast-forward hit/miss counters.
-func (c *Collector) FFCounts() (hits, misses uint64) {
-	if c == nil {
-		return 0, 0
-	}
-	return c.ffHits, c.ffMisses
-}
-
 // CacheCounts returns the profile-cache hit/miss counters.
 func (c *Collector) CacheCounts() (hits, misses uint64) {
 	if c == nil {
@@ -703,21 +645,16 @@ func (c *Collector) CacheCounts() (hits, misses uint64) {
 	return c.cacheHits, c.cacheMisses
 }
 
-// Counters emits the running hit/miss counters (fast-forward memo and
-// profile cache) as one event.
+// Counters emits the running profile-cache counters (plus per-GPU busy
+// time on multi-GPU runs) as one event.
 func (c *Collector) Counters(ts simtime.Instant) {
 	if c == nil || c.w == nil {
 		return
 	}
 	c.begin(ts, EvCounters)
-	c.fInt("ff_hits", int64(c.ffHits))
-	c.fInt("ff_misses", int64(c.ffMisses))
 	c.fInt("cache_hits", int64(c.cacheHits))
 	c.fInt("cache_misses", int64(c.cacheMisses))
 	c.fInt("cache_corrupt", int64(c.cacheCorrupt))
-	c.fInt("plan_hits", int64(c.planHits))
-	c.fInt("plan_misses", int64(c.planMisses))
-	c.fInt("plan_invalidated", int64(c.planInvalidated))
 	// Per-GPU busy time, only on multi-GPU runs (EnableGPUCounters):
 	// extra fields are schema-legal, and single-GPU traces stay
 	// byte-identical.

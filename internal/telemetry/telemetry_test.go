@@ -125,7 +125,7 @@ func emitAll(c *Collector) {
 	c.SessionPlan(ts, 600, 0.5, 100*time.Microsecond, 8)
 	c.JobPlan(ts, 600, "video-surveillance", 0.25, 16, 3*time.Millisecond, time.Millisecond)
 	c.Job(ts, 600, "video-surveillance", 17, 100*time.Microsecond,
-		3*time.Millisecond, time.Millisecond, 5*time.Millisecond, true, false)
+		3*time.Millisecond, time.Millisecond, 5*time.Millisecond, true)
 	c.RetrainApply(ts, "video-surveillance", "vehicle-type", 4000, 612, 0)
 	c.RetrainDiscard(ts, "social-media", "sentiment", 1000)
 	c.Evict(ts, "video-surveillance", "resnet50", 3, 0, 1<<20, 0.75, true)
@@ -134,11 +134,6 @@ func emitAll(c *Collector) {
 	c.CacheCorrupt("social-media")
 	c.ProfileUnit("social-media", "sentiment", "full", 2*time.Millisecond)
 	c.ProfileBuild("social-media", 7*time.Millisecond, 4, 13, false)
-	c.FF(true)
-	c.FF(false)
-	c.PlanMemo(ts, "miss", 0xdeadbeef)
-	c.PlanMemo(ts, "hit", 0xdeadbeef)
-	c.PlanMemo(ts, "invalidated", 0xfeedface)
 	c.PlanningObserve(120 * time.Microsecond)
 	c.RetrainFault(ts, "video-surveillance", "vehicle-type", "retrain-fail", 1)
 	c.RetrainAbandon(ts, "video-surveillance", "vehicle-type", 3, 4000)
@@ -269,14 +264,8 @@ func TestTraceSchemaRoundTrip(t *testing.T) {
 			t.Fatalf("line %q: %v", line, err)
 		}
 	}
-	if h, m := c.FFCounts(); h != 1 || m != 1 {
-		t.Errorf("ff counts = %d/%d", h, m)
-	}
 	if h, m := c.CacheCounts(); h != 1 || m != 1 {
 		t.Errorf("cache counts = %d/%d", h, m)
-	}
-	if h, m, inv := c.PlanMemoCounts(); h != 1 || m != 1 || inv != 1 {
-		t.Errorf("plan memo counts = %d/%d/%d", h, m, inv)
 	}
 	if c.Planning.Count() != 1 {
 		t.Error("planning histogram did not observe")
@@ -293,7 +282,7 @@ func TestValidateRejectsBadTraces(t *testing.T) {
 		{"missing ev", `{"ts":0}`},
 		{"unknown ev", `{"ts":0,"ev":"bogus"}`},
 		{"missing field", `{"ts":0,"ev":"period","period":0}`},
-		{"negative ts", `{"ts":-5,"ev":"counters","ff_hits":0,"ff_misses":0,"cache_hits":0,"cache_misses":0}`},
+		{"negative ts", `{"ts":-5,"ev":"counters","cache_hits":0,"cache_misses":0,"cache_corrupt":0}`},
 	} {
 		if _, err := Validate(strings.NewReader(tc.line + "\n")); err == nil {
 			t.Errorf("%s: validation passed", tc.name)

@@ -8,10 +8,6 @@
 #                                       # wall-clock regression
 #   scripts/bench.sh -workers 1 ...     # extra args forwarded to
 #                                       # cmd/bench
-#   scripts/bench.sh -plan-workers 4    # additionally record a
-#                                       # 4-worker planner variant per
-#                                       # artifact ("<name>-pw4") and
-#                                       # print its speedup vs serial
 #   scripts/bench.sh -profile-workers 4 # additionally record the
 #                                       # 4-worker cold-profiling
 #                                       # entry ("profile-cold-pw4")

@@ -95,12 +95,11 @@ echo "== failover smoke =="
 go run ./cmd/repro -quick -horizon 100s -rate 80 -audit -gpus 2 \
     -faults 'gpu-crash=1,gpu-crash-max=1,gpu-crash-after=1' -fault-seed 5 fig18 >/dev/null
 
-# Quick bench smoke: regenerate the three benchmark artifacts — the
-# serial planner plus the 4-worker variant — plus the cold-profiling
-# entry (serial and 4-worker), and fail on a >10% serial wall-clock
-# regression vs the recorded profiler baseline.
+# Quick bench smoke: regenerate the three benchmark artifacts plus the
+# cold-profiling entry (serial and 4-worker), and fail on a >10% serial
+# wall-clock regression vs the recorded profiler baseline.
 echo "== bench smoke =="
-FAIL_ABOVE=0.1 scripts/bench.sh -workers 1 -plan-workers 4 -profile-workers 4 \
+FAIL_ABOVE=0.1 scripts/bench.sh -workers 1 -profile-workers 4 \
     -baseline results/BENCH_2026-08-09-profiler.json
 
 echo "CI OK"
