@@ -16,6 +16,7 @@
 package drift
 
 import (
+	"cmp"
 	"fmt"
 	"math/rand"
 	"slices"
@@ -86,11 +87,31 @@ type Report struct {
 	Rounds []Round
 }
 
-// RankByDivergence orders pool sample indices by decreasing divergence
-// from the old training data: cosine distance of the PCA-reduced
-// feature vector to the old data's mean reduced feature vector. The
-// PCA basis is fitted on the old samples.
-func RankByDivergence(old, pool *synthdata.Dataset, pcaComponents int) ([]int, error) {
+// scored is one pool sample's divergence from the old training data.
+type scored struct {
+	idx  int
+	dist float64
+}
+
+// moreDivergent is the ranking's strict total order: larger distance
+// first, and equal distances in increasing pool index — exactly the
+// order a stable sort by decreasing distance produces.
+func moreDivergent(a, b scored) int {
+	switch {
+	case a.dist > b.dist:
+		return -1
+	case a.dist < b.dist:
+		return 1
+	}
+	return cmp.Compare(a.idx, b.idx)
+}
+
+// scorePool computes every pool sample's divergence, in pool order: the
+// cosine distance of its PCA-reduced feature vector to the old data's
+// mean reduced feature vector, with the PCA basis fitted on the old
+// samples. Every sample is projected through one reused buffer, and the
+// reference norm is taken once.
+func scorePool(old, pool *synthdata.Dataset, pcaComponents int) ([]scored, error) {
 	if old == nil || len(old.Samples) == 0 {
 		return nil, fmt.Errorf("drift: no old training samples")
 	}
@@ -105,31 +126,72 @@ func RankByDivergence(old, pool *synthdata.Dataset, pcaComponents int) ([]int, e
 	// and centering on the old data's mean would map that mean to the
 	// zero vector.
 	oldMean := pca.Project(old.MeanFeature())
-	type scored struct {
-		idx  int
-		dist float64
-	}
+	oldNorm := mathx.Norm(oldMean)
+	buf := make([]float64, pca.Components())
 	xs := make([]scored, len(pool.Samples))
 	for i, s := range pool.Samples {
-		xs[i] = scored{idx: i, dist: mathx.CosineDistance(pca.Project(s.Features), oldMean)}
+		xs[i] = scored{idx: i, dist: mathx.CosineDistanceTo(pca.ProjectInto(buf, s.Features), oldMean, oldNorm)}
 	}
-	// Typed stable sort: same ordering semantics as sort.SliceStable
-	// with a decreasing-distance less, minus the reflection-based
-	// swapper on the hot period-start path.
-	slices.SortStableFunc(xs, func(a, b scored) int {
-		switch {
-		case a.dist > b.dist:
-			return -1
-		case a.dist < b.dist:
-			return 1
-		}
-		return 0
-	})
+	return xs, nil
+}
+
+// RankByDivergence orders pool sample indices by decreasing divergence
+// from the old training data: cosine distance of the PCA-reduced
+// feature vector to the old data's mean reduced feature vector. The
+// PCA basis is fitted on the old samples. Equal divergences keep pool
+// order by index.
+func RankByDivergence(old, pool *synthdata.Dataset, pcaComponents int) ([]int, error) {
+	xs, err := scorePool(old, pool, pcaComponents)
+	if err != nil {
+		return nil, err
+	}
+	slices.SortFunc(xs, moreDivergent)
 	out := make([]int, len(xs))
 	for i, s := range xs {
 		out[i] = s.idx
 	}
 	return out, nil
+}
+
+// divergenceHeap is a binary min-heap under moreDivergent: popping it
+// yields the pool in RankByDivergence order, most divergent first.
+// Heapifying is O(n) and each pop O(log n), so a probe that reads only
+// the top S samples never orders the rest of the pool.
+type divergenceHeap []scored
+
+func newDivergenceHeap(xs []scored) divergenceHeap {
+	h := divergenceHeap(xs)
+	for i := len(h)/2 - 1; i >= 0; i-- {
+		h.down(i)
+	}
+	return h
+}
+
+func (h divergenceHeap) down(i int) {
+	for {
+		j := 2*i + 1
+		if j >= len(h) {
+			return
+		}
+		if r := j + 1; r < len(h) && moreDivergent(h[r], h[j]) < 0 {
+			j = r
+		}
+		if moreDivergent(h[j], h[i]) >= 0 {
+			return
+		}
+		h[i], h[j] = h[j], h[i]
+		i = j
+	}
+}
+
+// pop removes and returns the most divergent remaining sample.
+func (h *divergenceHeap) pop() scored {
+	old := *h
+	top, last := old[0], len(old)-1
+	old[0] = old[last]
+	*h = old[:last]
+	h.down(0)
+	return top
 }
 
 // DetectNode runs the S-growth detection loop for one node. The rng
@@ -138,10 +200,13 @@ func RankByDivergence(old, pool *synthdata.Dataset, pcaComponents int) ([]int, e
 func DetectNode(ni *app.NodeInstance, cfg Config, rng *rand.Rand) (Report, error) {
 	cfg.fillDefaults()
 	rep := Report{Node: ni.Node.Name, InitialAccuracy: ni.InitialAccuracy}
-	ranked, err := RankByDivergence(ni.OldData, ni.Pool, cfg.PCAComponents)
+	xs, err := scorePool(ni.OldData, ni.Pool, cfg.PCAComponents)
 	if err != nil {
 		return rep, err
 	}
+	// The loop reads the ranking lazily: each round pops only the
+	// samples its larger S adds, in RankByDivergence order.
+	ranked := newDivergenceHeap(xs)
 	poolDist, err := ni.PoolDist()
 	if err != nil {
 		return rep, err
@@ -160,14 +225,14 @@ func DetectNode(ni *app.NodeInstance, cfg Config, rng *rand.Rand) (Report, error
 	var last bool
 	// covered/sum extend the probe sum incrementally: n never shrinks
 	// across rounds, and appending to a left-to-right running sum is
-	// bit-identical to re-summing ranked[:n] from scratch.
+	// bit-identical to re-summing the top n from scratch.
 	covered := 0
 	var sum float64
 	for s := cfg.InitialS; ; s += cfg.StepS {
 		if s > 1 {
 			s = 1
 		}
-		n := int(s * float64(len(ranked)))
+		n := int(s * float64(len(xs)))
 		if n < 1 {
 			n = 1
 		}
@@ -177,7 +242,7 @@ func DetectNode(ni *app.NodeInstance, cfg Config, rng *rand.Rand) (Report, error
 		// given the samples, so the Bernoulli abstraction would only
 		// add artificial noise here.
 		for ; covered < n; covered++ {
-			sum += probByClass[ni.Pool.Samples[ranked[covered]].Class]
+			sum += probByClass[ni.Pool.Samples[ranked.pop().idx].Class]
 		}
 		acc := sum / float64(n)
 		impacted := acc < rep.InitialAccuracy-cfg.ImpactMargin

@@ -47,7 +47,7 @@ func singleClassWindow(t *testing.T, seed int64, n int) *synthdata.Dataset {
 // TestRankByDivergenceEdgeCases covers the degenerate windows the
 // period-start ranking must survive: empty windows error cleanly,
 // single-class and all-identical windows rank every sample exactly
-// once, and equal divergence preserves pool order (the sort is stable).
+// once, and equal divergences keep pool order by index.
 func TestRankByDivergenceEdgeCases(t *testing.T) {
 	monoOld := singleClassWindow(t, 21, 60)
 	monoPool := singleClassWindow(t, 22, 40)

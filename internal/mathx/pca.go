@@ -113,14 +113,23 @@ func (p *PCA) Transform(v []float64) []float64 {
 // data's mean would collapse that mean to the zero vector and destroy
 // the angles. It panics on a dimension mismatch.
 func (p *PCA) Project(v []float64) []float64 {
+	return p.ProjectInto(make([]float64, len(p.components)), v)
+}
+
+// ProjectInto is Project writing into dst, which must have length
+// Components(); it returns dst and allocates nothing. It panics on a
+// dimension mismatch.
+func (p *PCA) ProjectInto(dst, v []float64) []float64 {
 	if len(v) != len(p.mean) {
 		panic(fmt.Sprintf("mathx: PCA.Project dim %d != fitted %d", len(v), len(p.mean)))
 	}
-	out := make([]float64, len(p.components))
-	for i, c := range p.components {
-		out[i] = Dot(v, c)
+	if len(dst) != len(p.components) {
+		panic(fmt.Sprintf("mathx: PCA.ProjectInto dst len %d != %d components", len(dst), len(p.components)))
 	}
-	return out
+	for i, c := range p.components {
+		dst[i] = Dot(v, c)
+	}
+	return dst
 }
 
 // TransformAll projects every row of data.

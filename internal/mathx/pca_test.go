@@ -146,3 +146,34 @@ func TestPCATransformPanicsOnDimMismatch(t *testing.T) {
 	}()
 	p.Transform([]float64{1, 2, 3})
 }
+
+func TestPCAProjectIntoMatchesProject(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	data := make([][]float64, 50)
+	for i := range data {
+		data[i] = []float64{rng.NormFloat64(), rng.NormFloat64() * 3, rng.NormFloat64() + 5}
+	}
+	p, err := FitPCA(data, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dst := make([]float64, p.Components())
+	for _, v := range data {
+		want := p.Project(v)
+		got := p.ProjectInto(dst, v)
+		for i := range want {
+			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+				t.Fatalf("component %d: ProjectInto %v != Project %v", i, got[i], want[i])
+			}
+		}
+	}
+	if a := testing.AllocsPerRun(10, func() { p.ProjectInto(dst, data[0]) }); a != 0 {
+		t.Fatalf("ProjectInto allocates %v times", a)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("no panic on a short destination")
+		}
+	}()
+	p.ProjectInto(dst[:1], data[0])
+}

@@ -117,7 +117,12 @@ func Mean(rows [][]float64) []float64 {
 // CosineSimilarity returns the cosine of the angle between a and b, in
 // [−1, 1]. A zero vector yields similarity 0.
 func CosineSimilarity(a, b []float64) float64 {
-	na, nb := Norm(a), Norm(b)
+	return cosineSimilarity(a, b, Norm(b))
+}
+
+// cosineSimilarity is CosineSimilarity with b's norm supplied as nb.
+func cosineSimilarity(a, b []float64, nb float64) float64 {
+	na := Norm(a)
 	if na == 0 || nb == 0 {
 		return 0
 	}
@@ -131,6 +136,14 @@ func CosineSimilarity(a, b []float64) float64 {
 // training data's mean feature vector (§3.2).
 func CosineDistance(a, b []float64) float64 {
 	return 1 - CosineSimilarity(a, b)
+}
+
+// CosineDistanceTo is CosineDistance(a, b) with b's norm precomputed as
+// normB = Norm(b): the same float operations, bit for bit, minus the
+// per-call norm of a reference vector that many samples are scored
+// against.
+func CosineDistanceTo(a, b []float64, normB float64) float64 {
+	return 1 - cosineSimilarity(a, b, normB)
 }
 
 // Clone returns a copy of v.

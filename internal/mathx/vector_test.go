@@ -137,3 +137,22 @@ func TestClamp(t *testing.T) {
 		t.Fatal("Clamp broken")
 	}
 }
+
+// CosineDistanceTo with a precomputed norm must be bit-identical to
+// CosineDistance, zero vectors included.
+func TestCosineDistanceToMatchesCosineDistance(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	ref := []float64{3, -1, 2, 0.5}
+	vs := [][]float64{{0, 0, 0, 0}, {3, -1, 2, 0.5}, {-3, 1, -2, -0.5}}
+	for i := 0; i < 200; i++ {
+		vs = append(vs, []float64{rng.NormFloat64(), rng.NormFloat64(), rng.NormFloat64(), rng.NormFloat64()})
+	}
+	for _, b := range [][]float64{ref, {0, 0, 0, 0}} {
+		nb := Norm(b)
+		for _, a := range vs {
+			if got, want := CosineDistanceTo(a, b, nb), CosineDistance(a, b); math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("CosineDistanceTo(%v, %v) = %v, CosineDistance = %v", a, b, got, want)
+			}
+		}
+	}
+}

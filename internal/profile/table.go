@@ -12,7 +12,6 @@ package profile
 import (
 	"fmt"
 	"math"
-	"sync"
 
 	"adainf/internal/dnn"
 	"adainf/internal/mathx"
@@ -236,11 +235,10 @@ type latKey struct {
 // periods. The underlying power laws are pure functions of the
 // immutable profile, so entries never need invalidating; errors are
 // never cached (they re-derive on every probe, preserving error order).
-// Safe for concurrent use — the planner's worker pool shares one cache
-// per application.
+// It is not safe for concurrent use: each scheduler or serving run
+// builds its own caches and probes them from one goroutine.
 type LatencyCache struct {
 	tables []*Table
-	mu     sync.Mutex
 	m      map[latKey]simtime.Duration
 }
 
@@ -264,18 +262,13 @@ func (c *LatencyCache) PerBatch(node, si, bi int, fraction float64) (simtime.Dur
 		fraction = 1
 	}
 	key := latKey{node: node, si: si, bi: bi, fracBits: math.Float64bits(fraction)}
-	c.mu.Lock()
 	if d, ok := c.m[key]; ok {
-		c.mu.Unlock()
 		return d, nil
 	}
-	c.mu.Unlock()
 	d, err := c.tables[node].PerBatch(si, bi, fraction)
 	if err != nil {
 		return 0, err
 	}
-	c.mu.Lock()
 	c.m[key] = d
-	c.mu.Unlock()
 	return d, nil
 }

@@ -274,11 +274,17 @@ func (s *Stream) Shock(rng *rand.Rand, intensity float64) {
 }
 
 // Sample draws n labelled samples from the current period's process.
+// The samples' Features slices share one block of n·FeatureDim floats;
+// each is capacity-limited to its own FeatureDim entries, so appending
+// to one sample's Features reallocates it instead of overwriting the
+// next sample's.
 func (s *Stream) Sample(n int) []Sample {
 	out := make([]Sample, n)
+	d := s.spec.FeatureDim
+	block := make([]float64, n*d)
 	for i := range out {
 		c := s.labelDist.Sample(s.rng)
-		f := make([]float64, s.spec.FeatureDim)
+		f := block[i*d : (i+1)*d : (i+1)*d]
 		mean := s.classMeans[c]
 		for j := range f {
 			f[j] = mean[j] + s.rng.NormFloat64()*s.noise
@@ -300,7 +306,8 @@ func (s *Stream) PeriodDivergence(p int) float64 {
 
 // Dataset is a fixed labelled sample set, e.g. the initial training
 // data (first 40% of the paper's dataset) or one period's retraining
-// pool.
+// pool. A Dataset built by Collect holds its samples' Features in one
+// shared, capacity-limited block (see Stream.Sample).
 type Dataset struct {
 	Task    string
 	Samples []Sample

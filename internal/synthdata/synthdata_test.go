@@ -2,6 +2,7 @@ package synthdata
 
 import (
 	"math"
+	"runtime"
 	"testing"
 
 	"adainf/internal/dist"
@@ -195,4 +196,60 @@ func TestPeriodDivergencePanicsOutOfRange(t *testing.T) {
 		}
 	}()
 	s.PeriodDivergence(1) // period 1 not yet advanced
+}
+
+// benchSpec is a full-scale task: 12-dimensional features, the
+// catalog's default.
+func benchSpec() TaskSpec {
+	spec := vehicleSpec()
+	spec.FeatureDim = 12
+	return spec
+}
+
+// TestSampleAllocsOneBlock guards the pool draw's allocation count: the
+// sample slice plus one feature block, however many samples are drawn.
+func TestSampleAllocsOneBlock(t *testing.T) {
+	s, err := NewStream(benchSpec(), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The first collection starts the runtime's background mark
+	// workers, which allocate; let it happen before counting.
+	runtime.GC()
+	if a := testing.AllocsPerRun(20, func() { s.Sample(8000) }); a > 2 {
+		t.Fatalf("Sample(8000) allocates %v times, want at most 2", a)
+	}
+}
+
+// TestSampleFeaturesCapacityLimited checks that samples sharing one
+// feature block cannot clobber each other: appending to one sample's
+// Features must reallocate rather than overwrite the next sample's.
+func TestSampleFeaturesCapacityLimited(t *testing.T) {
+	s, err := NewStream(benchSpec(), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	samples := s.Sample(3)
+	next := mathx.Clone(samples[1].Features)
+	grown := append(samples[0].Features, -1, -2, -3)
+	if len(grown) != 15 {
+		t.Fatalf("append grew to %d entries", len(grown))
+	}
+	for j, x := range samples[1].Features {
+		if x != next[j] {
+			t.Fatalf("appending to sample 0 overwrote sample 1's feature %d: %v -> %v", j, next[j], x)
+		}
+	}
+}
+
+func BenchmarkCollect(b *testing.B) {
+	s, err := NewStream(benchSpec(), 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		Collect(s, 8000)
+	}
 }

@@ -66,6 +66,12 @@ go test -run='^$' -fuzz=FuzzFaultPlan -fuzztime=5s ./internal/faults
 go test -run='^$' -fuzz=FuzzPlace -fuzztime=5s ./internal/cluster
 go test -run='^$' -fuzz=FuzzReplace -fuzztime=5s ./internal/cluster
 
+# Benchmark smoke: one iteration of each period-start benchmark
+# (pool sampling, drift detection, full ranking), so they keep
+# compiling and running. It gates on nothing else.
+echo "== benchmark smoke =="
+go test -run '^$' -bench 'Collect|DetectNode|RankByDivergence' -benchtime 1x ./internal/synthdata ./internal/drift
+
 # Telemetry smoke: the no-op collector must stay allocation-free on
 # the serving hot path, and a traced run must emit a schema-valid
 # JSONL trace that converts to a Chrome trace. The goldens test in the
