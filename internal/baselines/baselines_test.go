@@ -14,7 +14,7 @@ import (
 
 var fxProfile *profile.AppProfile
 
-func fixture(t *testing.T) (*app.Instance, *profile.AppProfile) {
+func fixture(t testing.TB) (*app.Instance, *profile.AppProfile) {
 	t.Helper()
 	if fxProfile == nil {
 		p, err := profile.BuildAppProfile(app.VideoSurveillance(), profile.Config{
@@ -224,5 +224,87 @@ func TestScroogeStarProportionalScaling(t *testing.T) {
 	}
 	if greedy.Jobs[0].Fraction < greedy.Jobs[1].Fraction {
 		t.Fatalf("greedy Scrooge fractions: %v vs %v", greedy.Jobs[0].Fraction, greedy.Jobs[1].Fraction)
+	}
+}
+
+// TestScroogeSolveCachePerLane: on a sharded server one Scrooge plans
+// every lane in turn. Each lane must solve once per 100 ms window and
+// then replay its own plan, even when the lanes interleave and carry
+// equal job counts; a new period invalidates every lane's solve.
+func TestScroogeSolveCachePerLane(t *testing.T) {
+	inst, prof := fixture(t)
+	s := NewScrooge(false)
+	shares := []float64{0.05, 0.5} // lane 0 binds the capacity cap, lane 1 does not
+	plan := func(lane, session int) *sched.SessionPlan {
+		t.Helper()
+		p, err := s.PlanSession(&sched.SessionContext{
+			Session:  session,
+			Start:    simtime.Instant(time.Duration(session) * 5 * time.Millisecond),
+			GPUShare: shares[lane],
+			GPU:      lane,
+			Jobs:     []sched.JobRequest{{Instance: inst, Profile: prof, Requests: 64}},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return p
+	}
+	first := []*sched.SessionPlan{plan(0, 0), plan(1, 0)}
+	for lane, p := range first {
+		if p.Overhead != ScroogeOverhead {
+			t.Fatalf("lane %d first solve overhead = %v, want %v", lane, p.Overhead, ScroogeOverhead)
+		}
+	}
+	if first[0].Jobs[0].Fraction == first[1].Jobs[0].Fraction {
+		t.Fatalf("lanes solved equal fractions %v; the shares must tell them apart", first[0].Jobs[0].Fraction)
+	}
+	for session := 1; session < 3; session++ {
+		for lane := range shares {
+			p := plan(lane, session)
+			if p.Overhead != 0 {
+				t.Errorf("lane %d session %d re-charged the solve (%v)", lane, session, p.Overhead)
+			}
+			if got, want := p.Jobs[0].Fraction, first[lane].Jobs[0].Fraction; got != want {
+				t.Errorf("lane %d session %d replayed fraction %v, want its own %v", lane, session, got, want)
+			}
+			if p.Session != session {
+				t.Errorf("lane %d replay carries session %d, want %d", lane, p.Session, session)
+			}
+		}
+	}
+	if _, err := s.OnPeriodStart(periodCtx(t, inst, prof)); err != nil {
+		t.Fatal(err)
+	}
+	for lane := range shares {
+		if p := plan(lane, 3); p.Overhead != ScroogeOverhead {
+			t.Errorf("lane %d after OnPeriodStart: overhead %v, want a fresh solve", lane, p.Overhead)
+		}
+	}
+}
+
+// BenchmarkScroogePlanSession plans the 20 sessions of one 100 ms
+// window on each of 4 lanes (lanes interleaved within a session, as
+// the serving loop calls them); every iteration is a new window.
+func BenchmarkScroogePlanSession(b *testing.B) {
+	inst, prof := fixture(b)
+	const lanes, sessions = 4, int(ScroogeOverhead / (5 * time.Millisecond))
+	s := NewScrooge(false)
+	ctx := &sched.SessionContext{Jobs: make([]sched.JobRequest, 1)}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for k := 0; k < sessions; k++ {
+			session := i*sessions + k
+			for g := 0; g < lanes; g++ {
+				ctx.Session = session
+				ctx.Start = simtime.Instant(time.Duration(session) * 5 * time.Millisecond)
+				ctx.GPU = g
+				ctx.GPUShare = 0.1 * float64(g+1)
+				ctx.Jobs[0] = sched.JobRequest{Instance: inst, Profile: prof, Requests: 16 + 8*g}
+				if _, err := s.PlanSession(ctx); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}
 	}
 }

@@ -22,24 +22,31 @@ const ScroogeOverhead = 100 * time.Millisecond
 //
 // Star selects Scrooge*: after solving, the GPU amounts are scaled
 // proportionally into the edge capacity instead of greedily capped.
+//
+// On a sharded server the same instance plans every GPU lane in turn,
+// so the solve cache holds one slot per lane: each lane solves once per
+// 100 ms window and replays its own plan for the window's remaining
+// sessions, and two lanes never trade plans.
 type Scrooge struct {
 	Star        bool
 	Trainer     cloud.Trainer
 	minFraction float64
 
-	// cached plan, reused for the sessions inside one solve window.
-	// cachedGPU pins the cache to the GPU lane it solved for: on a
-	// sharded server the same Scrooge instance plans every lane in turn,
-	// and two lanes with equal job counts must not trade plans.
-	cachedWindow int
-	cachedGPU    int
-	cached       *sched.SessionPlan
+	// solves holds each GPU lane's current solve, indexed by lane.
+	solves       []scroogeSolve
 	transferTime simtime.Duration
 	transferred  int64
 
 	// costs holds the per-profile latency-probe memos installed on
 	// every solved session's jobs (see installCosts).
 	costs map[*profile.AppProfile]*profile.LatencyCache
+}
+
+// scroogeSolve is one lane's cached plan and the window it was solved
+// in; a nil plan is an empty slot.
+type scroogeSolve struct {
+	window int
+	plan   *sched.SessionPlan
 }
 
 // NewScrooge returns the Scrooge baseline (set star for Scrooge*).
@@ -93,7 +100,7 @@ func (s *Scrooge) OnPeriodStart(ctx *sched.PeriodContext) (*sched.PeriodPlan, er
 			Completion: r.Completion, OnCloud: true,
 		})
 	}
-	s.cached = nil // new period invalidates the solve cache
+	clear(s.solves) // a new period invalidates every lane's solve
 	return plan, nil
 }
 
@@ -102,23 +109,26 @@ func (s *Scrooge) OnPeriodStart(ctx *sched.PeriodContext) (*sched.PeriodPlan, er
 func (s *Scrooge) ReusesPlansAcrossSessions() {}
 
 // PlanSession implements sched.Scheduler. The optimization solve runs
-// once per 100 ms window (20 sessions) and its allocation is reused for
-// every session in the window, since the solve itself takes ~100 ms.
+// once per 100 ms window (20 sessions) and lane, and its allocation is
+// reused for every session of that lane in the window, since the solve
+// itself takes ~100 ms.
 func (s *Scrooge) PlanSession(ctx *sched.SessionContext) (*sched.SessionPlan, error) {
 	window := int(ctx.Start.Duration() / ScroogeOverhead)
-	if s.cached != nil && window == s.cachedWindow && s.cachedGPU == ctx.GPU && len(s.cached.Jobs) == len(ctx.Jobs) {
-		plan := *s.cached
+	for len(s.solves) <= ctx.GPU {
+		s.solves = append(s.solves, scroogeSolve{})
+	}
+	slot := &s.solves[ctx.GPU]
+	if slot.plan != nil && slot.window == window && len(slot.plan.Jobs) == len(ctx.Jobs) {
+		plan := *slot.plan
 		plan.Session = ctx.Session
-		plan.Overhead = 0 // already paid at the window's first session
+		plan.Overhead = 0 // already paid at the lane's first session in the window
 		return &plan, nil
 	}
 	plan, err := s.solve(ctx)
 	if err != nil {
 		return nil, err
 	}
-	s.cached = plan
-	s.cachedWindow = window
-	s.cachedGPU = ctx.GPU
+	*slot = scroogeSolve{window: window, plan: plan}
 	return plan, nil
 }
 

@@ -3,6 +3,7 @@ package cluster
 import (
 	"fmt"
 	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -24,6 +25,35 @@ func TestTopologyValidate(t *testing.T) {
 			t.Errorf("Validate(%+v) = %v, want ok=%v", tc.topo, err, tc.ok)
 		}
 	}
+}
+
+// assignment is a placement's value: the topology's shape and
+// effective liveness, and every placed app (assignment order) with the
+// lane it runs on.
+type assignment struct {
+	NGPUs       int
+	PerGPUBytes int64
+	Alive       uint64
+	Apps        []AppLoad
+	Lanes       []int
+}
+
+func assignmentOf(p *Placement) assignment {
+	a := assignment{
+		NGPUs:       p.NGPUs(),
+		PerGPUBytes: p.Topology().PerGPUBytes,
+		Alive:       p.Topology().AliveMask(),
+		Apps:        p.Apps(),
+	}
+	for i := 0; i < p.Len(); i++ {
+		a.Lanes = append(a.Lanes, p.GPUAt(i))
+	}
+	return a
+}
+
+// samePlacement compares two placements by value.
+func samePlacement(p, q *Placement) bool {
+	return reflect.DeepEqual(assignmentOf(p), assignmentOf(q))
 }
 
 func randomCatalog(rng *rand.Rand, n int) []AppLoad {
@@ -66,9 +96,9 @@ func TestPlaceProperties(t *testing.T) {
 			if err != nil {
 				t.Fatalf("trial %d ngpus %d repeat: %v", trial, ngpus, err)
 			}
-			if p1.Digest() != p2.Digest() {
-				t.Fatalf("trial %d ngpus %d: repeat digests differ: %x vs %x",
-					trial, ngpus, p1.Digest(), p2.Digest())
+			if !samePlacement(p1, p2) {
+				t.Fatalf("trial %d ngpus %d: repeat placements differ: %+v vs %+v",
+					trial, ngpus, assignmentOf(p1), assignmentOf(p2))
 			}
 			// Independent of input order.
 			shuffled := append([]AppLoad(nil), apps...)
@@ -79,7 +109,7 @@ func TestPlaceProperties(t *testing.T) {
 			if err != nil {
 				t.Fatalf("trial %d ngpus %d shuffled: %v", trial, ngpus, err)
 			}
-			if p1.Digest() != p3.Digest() {
+			if !samePlacement(p1, p3) {
 				t.Fatalf("trial %d ngpus %d: shuffled input changed the placement", trial, ngpus)
 			}
 			for _, a := range apps {
@@ -226,7 +256,7 @@ func TestPlaceOversizedAppError(t *testing.T) {
 
 // TestReplaceFailover pins the Replace contract: apps displaced by a
 // dead lane re-pack onto survivors, apps that fit nowhere come back
-// unplaced instead of failing, and the degraded digest differs from
+// unplaced instead of failing, and the degraded placement differs from
 // the healthy one.
 func TestReplaceFailover(t *testing.T) {
 	topo := Topology{NGPUs: 2, PerGPUBytes: 1000}
@@ -251,16 +281,16 @@ func TestReplaceFailover(t *testing.T) {
 	if unplaced[0].Name != "b" {
 		t.Errorf("unplaced app %q, want the lighter-ranked b", unplaced[0].Name)
 	}
-	if p.Digest() == full.Digest() {
-		t.Error("degraded placement digest equals the healthy one")
+	if samePlacement(p, full) {
+		t.Error("degraded placement equals the healthy one")
 	}
-	// All-alive Replace is byte-identical to Place (legacy digests).
+	// All-alive Replace is identical to Place.
 	p2, unplaced2, err := Replace(topo, AllAlive(2), apps)
 	if err != nil || len(unplaced2) != 0 {
 		t.Fatalf("all-alive Replace: %v, unplaced %v", err, unplaced2)
 	}
-	if p2.Digest() != full.Digest() {
-		t.Error("all-alive Replace digest differs from Place")
+	if !samePlacement(p2, full) {
+		t.Errorf("all-alive Replace %+v differs from Place %+v", assignmentOf(p2), assignmentOf(full))
 	}
 }
 
@@ -283,36 +313,5 @@ func TestRankLoads(t *testing.T) {
 	}
 	if RanksEqual(ranks, ranks[:3]) {
 		t.Error("RanksEqual on different lengths = true")
-	}
-}
-
-func TestDigestSensitivity(t *testing.T) {
-	topo := Topology{NGPUs: 2, PerGPUBytes: 1000}
-	base := []AppLoad{
-		{Name: "a", WorkingSetBytes: 100, LoadRank: 0},
-		{Name: "b", WorkingSetBytes: 200, LoadRank: 1},
-	}
-	p1, err := Place(topo, base)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Rank swap changes the digest even when membership is unchanged.
-	swapped := []AppLoad{
-		{Name: "a", WorkingSetBytes: 100, LoadRank: 1},
-		{Name: "b", WorkingSetBytes: 200, LoadRank: 0},
-	}
-	p2, err := Place(topo, swapped)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p1.Digest() == p2.Digest() {
-		t.Error("rank swap left the digest unchanged")
-	}
-	p3, err := Place(Topology{NGPUs: 4, PerGPUBytes: 1000}, base)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p1.Digest() == p3.Digest() {
-		t.Error("topology change left the digest unchanged")
 	}
 }

@@ -2,13 +2,14 @@ package cluster
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 )
 
 // fuzzCatalog derives a deterministic catalog from the fuzz inputs:
 // n apps with hashed working sets and a valid load ranking. Some seeds
-// produce equal-load ties so digest stability under permutation is
-// exercised where it matters.
+// produce equal-load ties so stability under permutation is exercised
+// where it matters.
 func fuzzCatalog(seed int64, n int, maxBytes int64) []AppLoad {
 	rng := rand.New(rand.NewSource(seed))
 	names := make([]string, n)
@@ -58,8 +59,8 @@ func checkPlacement(t *testing.T, p *Placement, topo Topology) {
 
 // FuzzPlace drives Place over random topologies and catalogs: it must
 // never panic, every success must satisfy the capacity invariant, and
-// the digest must be stable under permutation of the input (equal-load
-// ties included).
+// the placement must be stable under permutation of the input
+// (equal-load ties included).
 func FuzzPlace(f *testing.F) {
 	f.Add(1, int64(1000), int64(7), 8)
 	f.Add(4, int64(1<<20), int64(42), 12)
@@ -86,8 +87,8 @@ func FuzzPlace(f *testing.F) {
 		if err != nil {
 			t.Fatalf("shuffled input rejected: %v", err)
 		}
-		if p1.Digest() != p2.Digest() {
-			t.Fatalf("digest not permutation-stable: %x vs %x", p1.Digest(), p2.Digest())
+		if !samePlacement(p1, p2) {
+			t.Fatalf("placement not permutation-stable: %+v vs %+v", assignmentOf(p1), assignmentOf(p2))
 		}
 	})
 }
@@ -132,9 +133,9 @@ func FuzzReplace(f *testing.F) {
 		if err != nil {
 			t.Fatalf("shuffled input rejected: %v", err)
 		}
-		if p1.Digest() != p2.Digest() || len(unplaced) != len(unplaced2) {
-			t.Fatalf("re-pack not permutation-stable: %x/%d vs %x/%d",
-				p1.Digest(), len(unplaced), p2.Digest(), len(unplaced2))
+		if !samePlacement(p1, p2) || !reflect.DeepEqual(unplaced, unplaced2) {
+			t.Fatalf("re-pack not permutation-stable: %+v/%v vs %+v/%v",
+				assignmentOf(p1), unplaced, assignmentOf(p2), unplaced2)
 		}
 	})
 }

@@ -39,7 +39,11 @@ func FuzzFaultPlan(f *testing.F) {
 		// An accepted config must be safe to instantiate: New either
 		// declines (nothing can fire) or returns a usable injector.
 		if in := New(&c); in != nil {
-			in.SessionWord(0, "app", []string{"node"}, true)
+			for g := 0; g < 4; g++ {
+				if in.MemFailGPU(0, "app", g) != in.MemFailGPU(0, "app", g) {
+					t.Fatalf("config %q: lane %d memory fault not deterministic", rendered, g)
+				}
+			}
 		} else if c.Enabled() {
 			t.Fatalf("New declined the enabled config %q", rendered)
 		}

@@ -101,9 +101,10 @@ type runLoop struct {
 	// the fault seed and stable coordinates, so the loop consults it
 	// freely without perturbing the shared RNG stream.
 	flt *faults.Injector
-	// faultWords holds the current session's per-app fault-decision
-	// bitmasks (see faults.Injector.SessionWord).
-	faultWords []uint64
+	// memFault holds the current session's per-app memory-fault
+	// decisions (faults.Injector.MemFailGPU). The incremental retraining
+	// decisions are rolled where they are used, in runJob.
+	memFault []bool
 	// faultBusy records the GPU busy windows of failed whole-pool
 	// retraining attempts for the current period, in plan order; they
 	// join the pending retrains in the session GPU-share computation.
@@ -195,7 +196,7 @@ func newRunLoop(cfg *Config, states []*appState, rec *metrics.Recorder, res *Res
 	}
 	l.work = make([]bool, l.sessionsPerPeriod)
 	if l.flt = faults.New(cfg.Faults); l.flt != nil {
-		l.faultWords = make([]uint64, len(states))
+		l.memFault = make([]bool, len(states))
 		if cfg.NGPUs > 1 && l.flt.Config().GPUCrash > 0 {
 			l.admitCap = make([]int, len(states))
 			l.admitFrac = make([]float64, len(states))
@@ -956,12 +957,12 @@ func (l *runLoop) workSession(sess int) {
 	}
 
 	if l.flt != nil {
-		// Per-app fault decisions for this session; the degraded-job
+		// Per-app memory faults for this session; the degraded-job
 		// counter and event key off the decision and the actual
 		// arrivals.
 		for i, st := range l.states {
-			l.faultWords[i] = l.flt.SessionWord(sess, st.inst.App.Name, st.nodeNames, cfg.Retraining)
-			if l.faultWords[i]&1 != 0 && l.actual[i][si] > 0 {
+			l.memFault[i] = l.flt.MemFail(sess, st.inst.App.Name)
+			if l.memFault[i] && l.actual[i][si] > 0 {
 				l.res.FaultDegradedJobs++
 				l.tel.Degrade(start, sess, st.inst.App.Name)
 			}
@@ -1014,7 +1015,7 @@ func (l *runLoop) workSession(sess int) {
 		}
 		jp := jobPlanFor(plan, st.inst.App.Name)
 		var degraded sched.JobPlan
-		if l.flt != nil && l.faultWords[i]&1 != 0 {
+		if l.flt != nil && l.memFault[i] {
 			// Transient GPU-memory allocation failure: the planned (or
 			// fallback) structures cannot be made resident this session.
 			// Serve with the smallest profiled structure of every node
@@ -1109,12 +1110,12 @@ func (l *runLoop) laneSession(sess int, start simtime.Instant, si int) {
 	}
 
 	if l.flt != nil {
-		// Per-app fault decisions, keyed by the owning lane so a
+		// Per-app memory faults, keyed by the owning lane so a
 		// placement change re-rolls them (two lanes never share a memory
 		// partition).
 		for i, st := range l.states {
-			l.faultWords[i] = l.flt.SessionWordGPU(sess, st.inst.App.Name, st.nodeNames, cfg.Retraining, l.laneOf[i])
-			if l.faultWords[i]&1 != 0 && l.actual[i][si] > 0 {
+			l.memFault[i] = l.flt.MemFailGPU(sess, st.inst.App.Name, l.laneOf[i])
+			if l.memFault[i] && l.actual[i][si] > 0 {
 				l.res.FaultDegradedJobs++
 				l.tel.Degrade(start, sess, st.inst.App.Name)
 			}
@@ -1217,7 +1218,7 @@ func (l *runLoop) laneSession(sess int, start simtime.Instant, si int) {
 					Nodes:    st.degradedNodes,
 				}
 				jp = &degraded
-			} else if l.flt != nil && l.faultWords[i]&1 != 0 {
+			} else if l.flt != nil && l.memFault[i] {
 				degraded = sched.JobPlan{
 					App:      st.inst.App.Name,
 					Fraction: 0.02,

@@ -121,3 +121,45 @@ func TestLaneTrace(t *testing.T) {
 		t.Error("counters lack per-GPU busy fields")
 	}
 }
+
+// solveCounter wraps Scrooge and counts, per (lane, 100 ms window), the
+// session plans that charge the solve overhead.
+type solveCounter struct {
+	*baselines.Scrooge
+	solves map[[2]int]int
+}
+
+func (c *solveCounter) PlanSession(ctx *sched.SessionContext) (*sched.SessionPlan, error) {
+	plan, err := c.Scrooge.PlanSession(ctx)
+	if err == nil && plan.Overhead > 0 {
+		c.solves[[2]int{ctx.GPU, int(ctx.Start.Duration() / baselines.ScroogeOverhead)}]++
+	}
+	return plan, err
+}
+
+// TestScroogeSolvesOncePerLaneWindow runs Scrooge on two lanes under
+// audit: each lane pays the 100 ms solve at most once per window, as on
+// a single GPU, however the serving loop interleaves the lanes.
+func TestScroogeSolvesOncePerLaneWindow(t *testing.T) {
+	var rep audit.Report
+	counter := &solveCounter{Scrooge: baselines.NewScrooge(false), solves: make(map[[2]int]int)}
+	cfg := laneConfig(t, 2)
+	cfg.Method = counter
+	cfg.AuditReport = &rep
+	if _, err := Run(cfg); err != nil {
+		t.Fatal(err)
+	}
+	if rep.Total != 0 {
+		t.Error(rep.Err())
+	}
+	lanes := make(map[int]bool)
+	for key, n := range counter.solves {
+		lanes[key[0]] = true
+		if n > 1 {
+			t.Fatalf("lane %d window %d: %d solves, want at most 1", key[0], key[1], n)
+		}
+	}
+	if len(lanes) != 2 {
+		t.Fatalf("solves seen on %d lanes, want 2", len(lanes))
+	}
+}

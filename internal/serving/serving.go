@@ -287,9 +287,6 @@ type appState struct {
 	// planned structure set, so a degraded job never violates the
 	// latency SLO its plan was built for.
 	degradedNodes []sched.NodePlan
-	// nodeNames lists the instance's nodes in order, for per-node fault
-	// decisions.
-	nodeNames []string
 	// probMemo caches each leaf's per-class correctness probabilities,
 	// keyed by everything that can change them: the period's live-dist
 	// snapshot (a fresh immutable clone each period, so pointer
@@ -536,7 +533,6 @@ func Run(cfg Config) (*Result, error) {
 			st.degradedNodes = append(st.degradedNodes, sched.NodePlan{
 				Node: ni.Node.Name, Structure: ni.SmallestStructure(),
 			})
-			st.nodeNames = append(st.nodeNames, ni.Node.Name)
 		}
 		states[i] = st
 	}
