@@ -1,6 +1,8 @@
 package app
 
 import (
+	"math"
+	"runtime"
 	"testing"
 	"time"
 
@@ -228,6 +230,242 @@ func TestPoolDist(t *testing.T) {
 	ni.Pool = &synthdata.Dataset{}
 	if _, err := ni.PoolDist(); err == nil {
 		t.Fatal("empty pool accepted")
+	}
+}
+
+// TestPoolDistFollowsPool checks that PoolDist is computed once per
+// pool and follows a reassigned or newly collected pool.
+func TestPoolDistFollowsPool(t *testing.T) {
+	inst, _ := NewInstance(VideoSurveillance(), InstanceConfig{Seed: 4, PoolSamples: 300})
+	ni := inst.ByName["vehicle-type"]
+	k := len(ni.Node.Task.Classes)
+	first, err := ni.PoolDist()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if again, _ := ni.PoolDist(); again != first {
+		t.Fatal("PoolDist recomputed for an unchanged pool")
+	}
+	// A hand-built pool holding only class 0 has a one-hot mix.
+	ni.Pool = &synthdata.Dataset{Samples: ni.Pool.Samples[:0:0]}
+	for _, smp := range ni.Stream.Sample(200) {
+		if smp.Class == 0 {
+			ni.Pool.Samples = append(ni.Pool.Samples, smp)
+		}
+	}
+	got, err := ni.PoolDist()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got == first || got.Prob(0) != 1 {
+		t.Fatalf("PoolDist kept the replaced pool's mix: P(0) = %v", got.Prob(0))
+	}
+	inst.AdvancePeriod(0)
+	next, err := ni.PoolDist()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := ni.Pool.LabelDistribution(k)
+	for c := 0; c < k; c++ {
+		if next.Prob(c) != want[c] {
+			t.Fatalf("after AdvancePeriod PoolDist = %v, want the new pool's %v", next.Probs(), want)
+		}
+	}
+}
+
+// sameSamples reports whether two sample sets are bit-identical.
+func sameSamples(a, b []synthdata.Sample) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if a[i].Class != b[i].Class || a[i].Period != b[i].Period || len(a[i].Features) != len(b[i].Features) {
+			return false
+		}
+		for j := range a[i].Features {
+			if math.Float64bits(a[i].Features[j]) != math.Float64bits(b[i].Features[j]) {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// TestAdvancePeriodRecyclesIntoIdenticalPools replays every node's
+// stream with plain Collect and checks that the instance's recycled
+// pools and its OldData references match, sample for sample, through
+// periods that alternate between retrained and stale models.
+func TestAdvancePeriodRecyclesIntoIdenticalPools(t *testing.T) {
+	const seed, boot, pool = 8, 300, 400
+	inst, err := NewInstance(VideoSurveillance(), InstanceConfig{Seed: seed, BootstrapSamples: boot, PoolSamples: pool})
+	if err != nil {
+		t.Fatal(err)
+	}
+	type replay struct {
+		stream    *synthdata.Stream
+		old, pool *synthdata.Dataset
+	}
+	refs := make([]replay, len(inst.Nodes()))
+	for i, ni := range inst.Nodes() {
+		s, err := synthdata.NewStream(ni.Node.Task, seed+int64(i)*7919)
+		if err != nil {
+			t.Fatal(err)
+		}
+		refs[i] = replay{stream: s, old: synthdata.Collect(s, boot)}
+		refs[i].pool = synthdata.Collect(s, pool)
+	}
+	for p := 0; p < 6; p++ {
+		for i, ni := range inst.Nodes() {
+			if (p+i)%3 != 0 {
+				ni.NoteTrained()
+				refs[i].old = refs[i].pool
+			}
+		}
+		inst.AdvancePeriod(0)
+		for i, ni := range inst.Nodes() {
+			r := &refs[i]
+			r.pool = synthdata.Collect(r.stream, pool)
+			r.stream.AdvancePeriod()
+			if !sameSamples(ni.Pool.Samples, r.pool.Samples) {
+				t.Fatalf("period %d node %s: recycled pool differs from a fresh draw", p+1, ni.Node.Name)
+			}
+			if !sameSamples(ni.OldData.Samples, r.old.Samples) {
+				t.Fatalf("period %d node %s: OldData was overwritten", p+1, ni.Node.Name)
+			}
+		}
+	}
+}
+
+// TestAdvancePeriodKeepsAssignedDatasets checks that datasets a caller
+// assigns to Pool or OldData are never recycled, whichever way they
+// leave the node.
+func TestAdvancePeriodKeepsAssignedDatasets(t *testing.T) {
+	inst, err := NewInstance(VideoSurveillance(), InstanceConfig{Seed: 6, PoolSamples: 200})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ni := inst.ByName["vehicle-type"]
+	side, err := synthdata.NewStream(ni.Node.Task, 99)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Collected datasets own recyclable storage, so they are the ones
+	// a wrong ownership check would overwrite.
+	pool, old := synthdata.Collect(side, 200), synthdata.Collect(side, 200)
+	poolCopy := append([]synthdata.Sample(nil), pool.Samples...)
+	oldCopy := append([]synthdata.Sample(nil), old.Samples...)
+	for i := range poolCopy {
+		poolCopy[i].Features = append([]float64(nil), pool.Samples[i].Features...)
+		oldCopy[i].Features = append([]float64(nil), old.Samples[i].Features...)
+	}
+	check := func(step string) {
+		t.Helper()
+		if !sameSamples(pool.Samples, poolCopy) || !sameSamples(old.Samples, oldCopy) {
+			t.Fatalf("%s: an assigned dataset was overwritten", step)
+		}
+	}
+
+	ni.Pool, ni.OldData = pool, old
+	inst.AdvancePeriod(0) // stale model: the assigned pool leaves
+	check("untrained")
+	ni.Pool = pool
+	ni.NoteTrained()
+	inst.AdvancePeriod(0) // retrained: the assigned pool becomes OldData
+	if ni.OldData != pool {
+		t.Fatal("retrained node did not adopt the assigned pool")
+	}
+	ni.NoteTrained()
+	inst.AdvancePeriod(0) // retrained again: the assigned pool leaves as OldData
+	check("trained")
+	ni.OldData = old
+	ni.Pool = old // one dataset in both places
+	inst.AdvancePeriod(0)
+	ni.NoteTrained()
+	inst.AdvancePeriod(0)
+	inst.AdvancePeriod(0)
+	check("shared")
+
+	// A collected pool the caller also makes the reference leaves the
+	// pool but stays on the node, so it must not be recycled either.
+	ni.OldData = ni.Pool
+	ref := append([]synthdata.Sample(nil), ni.OldData.Samples...)
+	for i := range ref {
+		ref[i].Features = append([]float64(nil), ref[i].Features...)
+	}
+	inst.AdvancePeriod(0)
+	if !sameSamples(ni.OldData.Samples, ref) {
+		t.Fatal("a collected pool still held as OldData was recycled")
+	}
+
+	// A collected reference the caller takes out and later assigns
+	// back is the caller's dataset from then on.
+	taken := ni.OldData
+	ni.OldData = old
+	inst.AdvancePeriod(0)
+	ni.Pool = taken
+	inst.AdvancePeriod(0) // stale model: the assigned pool leaves
+	if !sameSamples(taken.Samples, ref) {
+		t.Fatal("a collected dataset assigned back by the caller was recycled")
+	}
+}
+
+// advanceBytes returns the heap bytes and allocations one steady-state
+// AdvancePeriod costs on an instance with the given pool size, with
+// the first node retrained every period and the others stale, so both
+// ways a dataset leaves a node are exercised.
+func advanceBytes(t *testing.T, poolSamples int) (bytes uint64, allocs float64) {
+	inst, err := NewInstance(VideoSurveillance(), InstanceConfig{Seed: 1, PoolSamples: poolSamples})
+	if err != nil {
+		t.Fatal(err)
+	}
+	step := func() {
+		inst.Nodes()[0].NoteTrained()
+		inst.AdvancePeriod(0)
+	}
+	step()
+	step()
+	runtime.GC() // start the collector's workers before counting
+	const runs = 20
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		step()
+	}
+	runtime.ReadMemStats(&after)
+	return (after.TotalAlloc - before.TotalAlloc) / runs, testing.AllocsPerRun(runs, step)
+}
+
+// TestAdvancePeriodCostIndependentOfPoolSize guards pool recycling:
+// once warm, AdvancePeriod draws every pool into recycled storage, so
+// an 8000-sample pool costs the same allocations — and no more bytes —
+// than a 1000-sample one.
+func TestAdvancePeriodCostIndependentOfPoolSize(t *testing.T) {
+	smallBytes, smallAllocs := advanceBytes(t, 1000)
+	largeBytes, largeAllocs := advanceBytes(t, 8000)
+	if smallAllocs != largeAllocs {
+		t.Fatalf("AdvancePeriod allocates %v times at 1000 samples but %v at 8000", smallAllocs, largeAllocs)
+	}
+	// 7000 more samples per node would cost over 600 KB if drawn fresh.
+	if largeBytes > smallBytes+1024 {
+		t.Fatalf("AdvancePeriod allocates %d B at 1000 samples but %d B at 8000", smallBytes, largeBytes)
+	}
+}
+
+// BenchmarkAdvancePeriod advances a warm instance with 8000-sample
+// pools, one node retrained per period.
+func BenchmarkAdvancePeriod(b *testing.B) {
+	inst, err := NewInstance(VideoSurveillance(), InstanceConfig{Seed: 1, BootstrapSamples: 2000, PoolSamples: 8000})
+	if err != nil {
+		b.Fatal(err)
+	}
+	inst.Nodes()[0].NoteTrained()
+	inst.AdvancePeriod(0)
+	inst.AdvancePeriod(0)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		inst.Nodes()[0].NoteTrained()
+		inst.AdvancePeriod(0)
 	}
 }
 

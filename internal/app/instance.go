@@ -35,6 +35,13 @@ type NodeInstance struct {
 	OldData *synthdata.Dataset
 	// Pool are the labelled samples collected during the previous
 	// period — the current period's retraining data.
+	//
+	// A dataset the instance collected stays valid until it leaves the
+	// node at a later AdvancePeriod (the pool when the model was not
+	// retrained, the old OldData when it was); its storage is then
+	// recycled into the next pool. A dataset a caller assigns to Pool or
+	// OldData is never recycled. Either way a dataset is immutable:
+	// assign a new one to change the pool.
 	Pool *synthdata.Dataset
 	// UsedSamples counts retraining samples consumed this period so
 	// concurrent jobs do not retrain on the same samples (§3.3.2).
@@ -42,6 +49,13 @@ type NodeInstance struct {
 	// trainedThisPeriod marks that some retraining updated the model
 	// during the current period (see NoteTrained).
 	trainedThisPeriod bool
+	// ownPool is the pool the instance last collected, and ownOld the
+	// collected dataset it holds as OldData (nil when OldData is a
+	// caller's). Only these are recycled, once they leave the node.
+	ownPool, ownOld *synthdata.Dataset
+	// poolDist is PoolDist's answer for the pool poolDistOf.
+	poolDist   *dist.Categorical
+	poolDistOf *synthdata.Dataset
 }
 
 // NoteTrained records that the node's model was retrained during the
@@ -58,12 +72,25 @@ func (ni *NodeInstance) LiveDist() *dist.Categorical { return ni.Stream.LabelDis
 
 // PoolDist returns the empirical class distribution of the retraining
 // pool — the target the golden-model-labelled retraining drives the
-// knowledge toward.
+// knowledge toward. It is computed once per pool and shared by every
+// caller until Pool changes; the distribution is immutable.
 func (ni *NodeInstance) PoolDist() (*dist.Categorical, error) {
 	if ni.Pool == nil || len(ni.Pool.Samples) == 0 {
 		return nil, fmt.Errorf("app: node %q has no retraining pool", ni.Node.Name)
 	}
-	return dist.NewCategorical(ni.Node.Task.Classes, ni.Pool.LabelDistribution(len(ni.Node.Task.Classes)))
+	if ni.poolDistOf != ni.Pool {
+		d, err := dist.NewCategorical(ni.Node.Task.Classes, ni.Pool.LabelDistribution(len(ni.Node.Task.Classes)))
+		if err != nil {
+			return nil, err
+		}
+		ni.poolDist, ni.poolDistOf = d, ni.Pool
+	}
+	return ni.poolDist, nil
+}
+
+// owns reports whether the instance collected ds for this node.
+func (ni *NodeInstance) owns(ds *synthdata.Dataset) bool {
+	return ds != nil && (ds == ni.ownPool || ds == ni.ownOld)
 }
 
 // RemainingSamples returns how many pool samples have not yet been
@@ -173,6 +200,9 @@ func NewInstance(a *App, cfg InstanceConfig) (*Instance, error) {
 		}
 		state := dnn.NewState(arch, bootDist)
 		state.SetKappa(cfg.Kappa)
+		// Period 0 serves with fresh models; the first pool is the
+		// bootstrap-period data itself.
+		pool := synthdata.Collect(stream, cfg.PoolSamples)
 		ni := &NodeInstance{
 			Node:            n,
 			Arch:            arch,
@@ -181,9 +211,9 @@ func NewInstance(a *App, cfg InstanceConfig) (*Instance, error) {
 			Structures:      dnn.EarlyExitStructures(arch, cfg.ExitStride),
 			InitialAccuracy: state.Accuracy(stream.LabelDist()),
 			OldData:         boot,
-			// Period 0 serves with fresh models; the first pool is the
-			// bootstrap-period data itself.
-			Pool: synthdata.Collect(stream, cfg.PoolSamples),
+			Pool:            pool,
+			ownPool:         pool,
+			ownOld:          boot,
 		}
 		inst.ByName[n.Name] = ni
 		inst.ordered = append(inst.ordered, ni)
@@ -212,24 +242,37 @@ func (i *Instance) Period() int { return i.period }
 // AdvancePeriod ends the current period: each node that was retrained
 // adopts its pool as the new "old training samples", a fresh pool is
 // sampled from the closing period's distribution, and the streams
-// drift into the new period. poolSamples ≤ 0 keeps each node's
-// previous pool size.
+// drift into the new period. The dataset that leaves the node — the
+// old reference of a retrained node, the pool of any other — is
+// recycled into the new pool if the instance collected it. poolSamples
+// ≤ 0 keeps each node's previous pool size.
 func (i *Instance) AdvancePeriod(poolSamples int) {
 	for _, ni := range i.ordered {
 		n := poolSamples
 		if n <= 0 {
 			n = len(ni.Pool.Samples)
 		}
+		leaving := ni.Pool
 		if ni.trainedThisPeriod {
 			// The model now reflects this pool: it becomes the drift
 			// detector's reference. An un-retrained model keeps its
 			// older reference so accumulated drift stays visible.
-			ni.OldData = ni.Pool
+			leaving, ni.OldData = ni.OldData, ni.Pool
 			ni.trainedThisPeriod = false
+		}
+		var reuse *synthdata.Dataset
+		if ni.owns(leaving) && leaving != ni.OldData {
+			reuse = leaving
+		}
+		if ni.owns(ni.OldData) {
+			ni.ownOld = ni.OldData
+		} else {
+			ni.ownOld = nil
 		}
 		// The new pool is drawn from the period that is ending — the
 		// requests "collected during the previous time period" (§1).
-		ni.Pool = synthdata.Collect(ni.Stream, n)
+		ni.Pool = synthdata.CollectInto(ni.Stream, n, reuse)
+		ni.ownPool = ni.Pool
 		ni.UsedSamples = 0
 		ni.Stream.AdvancePeriod()
 	}

@@ -230,7 +230,8 @@ func TestScroogeStarProportionalScaling(t *testing.T) {
 // TestScroogeSolveCachePerLane: on a sharded server one Scrooge plans
 // every lane in turn. Each lane must solve once per 100 ms window and
 // then replay its own plan, even when the lanes interleave and carry
-// equal job counts; a new period invalidates every lane's solve.
+// equal job counts; a replay allocates nothing, and a new period
+// invalidates every lane's solve.
 func TestScroogeSolveCachePerLane(t *testing.T) {
 	inst, prof := fixture(t)
 	s := NewScrooge(false)
@@ -271,6 +272,18 @@ func TestScroogeSolveCachePerLane(t *testing.T) {
 				t.Errorf("lane %d replay carries session %d, want %d", lane, p.Session, session)
 			}
 		}
+	}
+	// A replay hands out the lane's reused plan: it allocates nothing.
+	replayCtx := &sched.SessionContext{
+		Session: 2, Start: simtime.Instant(10 * time.Millisecond), GPUShare: shares[1], GPU: 1,
+		Jobs: []sched.JobRequest{{Instance: inst, Profile: prof, Requests: 64}},
+	}
+	if allocs := testing.AllocsPerRun(20, func() {
+		if _, err := s.PlanSession(replayCtx); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs != 0 {
+		t.Errorf("a replayed session allocates %v times, want 0", allocs)
 	}
 	if _, err := s.OnPeriodStart(periodCtx(t, inst, prof)); err != nil {
 		t.Fatal(err)

@@ -84,16 +84,31 @@ func (e *Ekya) OnPeriodStart(ctx *sched.PeriodContext) (*sched.PeriodPlan, error
 		app, node string
 		samples   int
 		jr        *sched.JobRequest
+		// oldAcc and newAcc are the model's pool accuracy before and
+		// after retraining on the task's samples; scored is false when
+		// the node has no pool to score against.
+		oldAcc, newAcc float64
+		scored         bool
 	}
 	var tasks []task
 	for i := range ctx.Jobs {
 		jr := &ctx.Jobs[i]
 		for _, ni := range jr.Instance.Nodes() {
 			// Ekya retrains every model on the full pool (§3.2).
-			tasks = append(tasks, task{
+			t := task{
 				app: jr.Instance.App.Name, node: ni.Node.Name,
 				samples: ni.RemainingSamples(), jr: jr,
-			})
+			}
+			// The accuracies do not depend on the candidate share,
+			// so the share sweep below reads them from here.
+			if poolDist, err := ni.PoolDist(); err == nil {
+				t.oldAcc = ni.State.Accuracy(poolDist)
+				proj := ni.State.Clone()
+				proj.Train(poolDist, float64(t.samples))
+				t.newAcc = proj.Accuracy(poolDist)
+				t.scored = true
+			}
+			tasks = append(tasks, t)
 		}
 	}
 	if len(tasks) == 0 {
@@ -155,20 +170,14 @@ func (e *Ekya) OnPeriodStart(ctx *sched.PeriodContext) (*sched.PeriodPlan, error
 		completions, _, _, _ := schedule(share)
 		var sum float64
 		for i, t := range tasks {
-			ni := t.jr.Instance.ByName[t.node]
-			poolDist, err := ni.PoolDist()
-			if err != nil {
+			if !t.scored {
 				continue
 			}
-			oldAcc := ni.State.Accuracy(poolDist)
-			proj := ni.State.Clone()
-			proj.Train(poolDist, float64(t.samples))
-			newAcc := proj.Accuracy(poolDist)
 			w := float64(completions[i]) / float64(ctx.Length)
 			if w > 1 {
 				w = 1
 			}
-			sum += w*oldAcc + (1-w)*newAcc
+			sum += w*t.oldAcc + (1-w)*t.newAcc
 		}
 		return sum / float64(len(tasks))
 	}

@@ -43,10 +43,13 @@ type Scrooge struct {
 }
 
 // scroogeSolve is one lane's cached plan and the window it was solved
-// in; a nil plan is an empty slot.
+// in; a nil plan is an empty slot. replay is the plan handed out for
+// the window's later sessions: it shares the solved plan's jobs and is
+// overwritten at each replay, as sched.Scheduler allows.
 type scroogeSolve struct {
 	window int
 	plan   *sched.SessionPlan
+	replay sched.SessionPlan
 }
 
 // NewScrooge returns the Scrooge baseline (set star for Scrooge*).
@@ -119,16 +122,16 @@ func (s *Scrooge) PlanSession(ctx *sched.SessionContext) (*sched.SessionPlan, er
 	}
 	slot := &s.solves[ctx.GPU]
 	if slot.plan != nil && slot.window == window && len(slot.plan.Jobs) == len(ctx.Jobs) {
-		plan := *slot.plan
-		plan.Session = ctx.Session
-		plan.Overhead = 0 // already paid at the lane's first session in the window
-		return &plan, nil
+		slot.replay = *slot.plan
+		slot.replay.Session = ctx.Session
+		slot.replay.Overhead = 0 // already paid at the lane's first session in the window
+		return &slot.replay, nil
 	}
 	plan, err := s.solve(ctx)
 	if err != nil {
 		return nil, err
 	}
-	*slot = scroogeSolve{window: window, plan: plan}
+	slot.window, slot.plan = window, plan
 	return plan, nil
 }
 

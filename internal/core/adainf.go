@@ -24,8 +24,6 @@ import (
 	"math"
 	"time"
 
-	"adainf/internal/app"
-	"adainf/internal/dist"
 	"adainf/internal/dnn"
 	"adainf/internal/drift"
 	"adainf/internal/profile"
@@ -84,15 +82,10 @@ type Scheduler struct {
 	// states and the retraining pools, so it is dropped every
 	// OnPeriodStart — and deliberately not refreshed within a period.
 	//
-	// poolDists holds each node's retraining-pool label distribution for
-	// the period (NodeInstance.PoolDist allocates a fresh one per call,
-	// and the pool only changes at AdvancePeriod).
-	//
 	// costs memoizes individual latency probes per application profile
 	// and backs all of the above.
 	reqFracCache map[reqKey]float64
 	jobBaseCache map[baseKey]*jobBase
-	poolDists    map[*app.NodeInstance]*dist.Categorical
 	costs        map[*profile.AppProfile]*profile.LatencyCache
 
 	// Reusable planning storage. PlanSession runs every 5 ms session;
@@ -153,20 +146,6 @@ func (s *Scheduler) costsFor(ap *profile.AppProfile) *profile.LatencyCache {
 	return c
 }
 
-// poolDistFor returns the node's retraining-pool distribution,
-// computed at most once per period.
-func (s *Scheduler) poolDistFor(ni *app.NodeInstance) (*dist.Categorical, error) {
-	if d, ok := s.poolDists[ni]; ok {
-		return d, nil
-	}
-	d, err := ni.PoolDist()
-	if err != nil {
-		return nil, err
-	}
-	s.poolDists[ni] = d
-	return d, nil
-}
-
 // jobBase is the cached inference-side plan of a job: everything
 // except the retraining assignment, which depends on the (draining)
 // sample pool and is recomputed every session.
@@ -191,7 +170,6 @@ func New(opts Options) *Scheduler {
 		lastReports:  make(map[string]map[string]drift.Report),
 		reqFracCache: make(map[reqKey]float64),
 		jobBaseCache: make(map[baseKey]*jobBase),
-		poolDists:    make(map[*app.NodeInstance]*dist.Categorical),
 		costs:        make(map[*profile.AppProfile]*profile.LatencyCache),
 	}
 }
@@ -491,7 +469,7 @@ func (s *Scheduler) chooseStructures(jr *sched.JobRequest, fraction float64, out
 			out[i] = full
 			continue
 		}
-		poolDist, err := s.poolDistFor(ni)
+		poolDist, err := ni.PoolDist()
 		if err != nil {
 			return err
 		}

@@ -21,12 +21,12 @@ func (s *Scheduler) OnPeriodStart(ctx *sched.PeriodContext) (*sched.PeriodPlan, 
 		s.dags = make(map[string]*sched.RIDag)
 	}
 	// Drift, pools, and impact degrees change at period boundaries:
-	// drop the per-period memoization (structure/batch choices and the
-	// pool distributions they read). reqFracCache survives — the SLO
-	// inversion runs at full structures against the immutable profile,
-	// so period boundaries cannot change its answers. The maps are
-	// cleared in place, not remade — they regrow to the same size every
-	// period; evicted jobBase values are recycled through freeBases.
+	// drop the per-period structure/batch choices. reqFracCache
+	// survives — the SLO inversion runs at full structures against the
+	// immutable profile, so period boundaries cannot change its
+	// answers. The map is cleared in place, not remade — it regrows to
+	// the same size every period; evicted jobBase values are recycled
+	// through freeBases.
 	if s.reqFracCache == nil {
 		s.reqFracCache = make(map[reqKey]float64)
 	}
@@ -37,7 +37,6 @@ func (s *Scheduler) OnPeriodStart(ctx *sched.PeriodContext) (*sched.PeriodPlan, 
 		s.freeBases = append(s.freeBases, base)
 	}
 	clear(s.jobBaseCache)
-	clear(s.poolDists)
 	for i := range ctx.Jobs {
 		jr := &ctx.Jobs[i]
 		name := jr.Instance.App.Name

@@ -106,17 +106,25 @@ func moreDivergent(a, b scored) int {
 	return cmp.Compare(a.idx, b.idx)
 }
 
-// scorePool computes every pool sample's divergence, in pool order: the
-// cosine distance of its PCA-reduced feature vector to the old data's
-// mean reduced feature vector, with the PCA basis fitted on the old
-// samples. Every sample is projected through one reused buffer, and the
-// reference norm is taken once.
-func scorePool(old, pool *synthdata.Dataset, pcaComponents int) ([]scored, error) {
-	if old == nil || len(old.Samples) == 0 {
-		return nil, fmt.Errorf("drift: no old training samples")
-	}
-	if pool == nil || len(pool.Samples) == 0 {
-		return nil, fmt.Errorf("drift: empty pool")
+// reference is the old training data every divergence is measured
+// against: the PCA basis fitted on the old samples, their mean feature
+// vector projected onto it, and that projection's norm.
+type reference struct {
+	components int // the PCAComponents it was fitted with
+	pca        *mathx.PCA
+	mean       []float64
+	norm       float64
+}
+
+// referenceFor returns old's reference, fitting it on first use. The
+// old dataset is immutable and changes only when a model is retrained,
+// so the fit is kept on the dataset itself (Dataset.SetDerived) and
+// every later DetectNode, RankByDivergence and SelectRetrainSamples
+// against the same dataset reuses it; a reassigned OldData is a new
+// dataset and is fitted afresh.
+func referenceFor(old *synthdata.Dataset, pcaComponents int) (*reference, error) {
+	if ref, ok := old.Derived().(*reference); ok && ref.components == pcaComponents {
+		return ref, nil
 	}
 	pca, err := mathx.FitPCA(old.FeatureMatrix(), pcaComponents)
 	if err != nil {
@@ -125,12 +133,32 @@ func scorePool(old, pool *synthdata.Dataset, pcaComponents int) ([]scored, error
 	// Project without centering: cosine distance is origin-sensitive,
 	// and centering on the old data's mean would map that mean to the
 	// zero vector.
-	oldMean := pca.Project(old.MeanFeature())
-	oldNorm := mathx.Norm(oldMean)
-	buf := make([]float64, pca.Components())
+	mean := pca.Project(old.MeanFeature())
+	ref := &reference{components: pcaComponents, pca: pca, mean: mean, norm: mathx.Norm(mean)}
+	old.SetDerived(ref)
+	return ref, nil
+}
+
+// scorePool computes every pool sample's divergence, in pool order: the
+// cosine distance of its PCA-reduced feature vector to the old data's
+// mean reduced feature vector, with the PCA basis fitted on the old
+// samples (see referenceFor). Every sample is projected through one
+// reused buffer.
+func scorePool(old, pool *synthdata.Dataset, pcaComponents int) ([]scored, error) {
+	if old == nil || len(old.Samples) == 0 {
+		return nil, fmt.Errorf("drift: no old training samples")
+	}
+	if pool == nil || len(pool.Samples) == 0 {
+		return nil, fmt.Errorf("drift: empty pool")
+	}
+	ref, err := referenceFor(old, pcaComponents)
+	if err != nil {
+		return nil, err
+	}
+	buf := make([]float64, ref.pca.Components())
 	xs := make([]scored, len(pool.Samples))
 	for i, s := range pool.Samples {
-		xs[i] = scored{idx: i, dist: mathx.CosineDistanceTo(pca.ProjectInto(buf, s.Features), oldMean, oldNorm)}
+		xs[i] = scored{idx: i, dist: mathx.CosineDistanceTo(ref.pca.ProjectInto(buf, s.Features), ref.mean, ref.norm)}
 	}
 	return xs, nil
 }

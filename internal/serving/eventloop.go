@@ -286,8 +286,8 @@ func (l *runLoop) periodStart(period int) {
 	// Settle the old period before touching its state: completions due
 	// at sessions up to first-1 were already applied by their own
 	// events; the remainder is discarded, as the session loop's cleared
-	// pending list never applied it. Applying uses the old poolDists,
-	// so this must precede the map rebuild below.
+	// pending list never applied it. Applying trains toward the old
+	// pools, so this must precede AdvancePeriod below.
 	l.drainRetrains(first - 1)
 	if l.err != nil {
 		return
@@ -348,18 +348,14 @@ func (l *runLoop) periodStart(period int) {
 	}
 	for _, st := range l.states {
 		clear(st.liveDists)
-		clear(st.poolDists)
-		clear(st.updatedAt)
 		clear(st.updated)
 		clear(st.carry)
 		for _, ni := range st.inst.Nodes() {
 			st.liveDists[ni.Node.Name] = ni.LiveDist()
-			pd, err := ni.PoolDist()
-			if err != nil {
+			if _, err := ni.PoolDist(); err != nil {
 				l.fail(err)
 				return
 			}
-			st.poolDists[ni.Node.Name] = pd
 			l.rec.SetPoolSize(period, len(ni.Pool.Samples))
 		}
 	}
@@ -863,12 +859,13 @@ func (l *runLoop) applyRetrain(pr *pendingRetrain) {
 		return
 	}
 	ni := st.inst.ByName[pr.Node]
-	target := st.poolDists[pr.Node]
-	if ni != nil && target != nil {
+	if ni == nil {
+		return
+	}
+	if target, err := ni.PoolDist(); err == nil {
 		used := ni.ConsumeSamples(pr.Samples)
 		ni.State.Train(target, float64(used))
 		ni.NoteTrained()
-		st.updatedAt[pr.Node] = pr.Completion
 		st.updated[pr.Node] = true
 		l.rec.RecordRetrainEffort(pr.Completion, pr.Busy, used)
 	}

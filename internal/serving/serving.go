@@ -266,10 +266,6 @@ type appState struct {
 	pred *trace.Predictor
 	// liveDists caches each node's live distribution for the period.
 	liveDists map[string]*dist.Categorical
-	poolDists map[string]*dist.Categorical
-	// updatedAt marks when each node's model was last retrained within
-	// the current period (zero instant+false = not yet).
-	updatedAt map[string]simtime.Instant
 	updated   map[string]bool
 	// carry holds fractional incremental-retraining progress per node:
 	// a short slice at a small GPU fraction may train less than one
@@ -514,8 +510,6 @@ func Run(cfg Config) (*Result, error) {
 			gen:       trace.NewGenerator(curve, cfg.Seed+int64(i)*17+1),
 			pred:      pred,
 			liveDists: make(map[string]*dist.Categorical, len(a.Nodes)),
-			poolDists: make(map[string]*dist.Categorical, len(a.Nodes)),
-			updatedAt: make(map[string]simtime.Instant, len(a.Nodes)),
 			updated:   make(map[string]bool, len(a.Nodes)),
 			carry:     make(map[string]float64, len(a.Nodes)),
 			leaves:    a.Leaves(),
@@ -660,11 +654,11 @@ func (l *runLoop) runJob(st *appState, jp *sched.JobPlan,
 					if cfg.DivergentSelection {
 						eff *= dnn.DivergentSelectionBoost
 					}
-					ni.State.Train(st.poolDists[np.Node], eff)
+					pd, _ := ni.PoolDist() // checked at period start
+					ni.State.Train(pd, eff)
 					ni.NoteTrained()
 					t = t.Add(lat)
 					retrainTotal += lat
-					st.updatedAt[np.Node] = t
 					st.updated[np.Node] = true
 					rec.RecordRetrainEffort(start, lat, whole)
 				}

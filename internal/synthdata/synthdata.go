@@ -277,11 +277,19 @@ func (s *Stream) Shock(rng *rand.Rand, intensity float64) {
 // The samples' Features slices share one block of n·FeatureDim floats;
 // each is capacity-limited to its own FeatureDim entries, so appending
 // to one sample's Features reallocates it instead of overwriting the
-// next sample's.
+// next sample's. CollectInto draws the same samples into recycled
+// storage.
 func (s *Stream) Sample(n int) []Sample {
 	out := make([]Sample, n)
+	s.draw(out, make([]float64, n*s.spec.FeatureDim), nil)
+	return out
+}
+
+// draw fills out with samples whose Features are consecutive
+// capacity-limited windows of block (len(out)·FeatureDim floats),
+// tallying each drawn class into counts unless counts is nil.
+func (s *Stream) draw(out []Sample, block []float64, counts []int) {
 	d := s.spec.FeatureDim
-	block := make([]float64, n*d)
 	for i := range out {
 		c := s.labelDist.Sample(s.rng)
 		f := block[i*d : (i+1)*d : (i+1)*d]
@@ -290,8 +298,10 @@ func (s *Stream) Sample(n int) []Sample {
 			f[j] = mean[j] + s.rng.NormFloat64()*s.noise
 		}
 		out[i] = Sample{Class: c, Features: f, Period: s.period}
+		if counts != nil {
+			counts[c]++
+		}
 	}
-	return out
 }
 
 // PeriodDivergence returns the Jensen–Shannon divergence between the
@@ -306,11 +316,28 @@ func (s *Stream) PeriodDivergence(p int) float64 {
 
 // Dataset is a fixed labelled sample set, e.g. the initial training
 // data (first 40% of the paper's dataset) or one period's retraining
-// pool. A Dataset built by Collect holds its samples' Features in one
-// shared, capacity-limited block (see Stream.Sample).
+// pool. A Dataset built by Collect or CollectInto holds its samples'
+// Features in one shared, capacity-limited block (see Stream.Sample)
+// and carries its class counts, so LabelDistribution does not rescan.
+//
+// A Dataset is immutable once built: nothing may change its Samples
+// afterwards. Values derived from it — its label counts, and whatever a
+// package attaches with SetDerived — stay valid exactly as long as the
+// dataset does. Its storage is reused only when it is handed to
+// CollectInto, which empties it. Derived values are attached on first
+// use, so like a Stream a Dataset is not safe for concurrent use.
 type Dataset struct {
 	Task    string
 	Samples []Sample
+
+	// block is the feature storage the samples' Features window into;
+	// nil for a dataset built by hand.
+	block []float64
+	// counts holds the per-class sample counts tallied while drawing;
+	// nil for a dataset built by hand.
+	counts []int
+	// derived is the value attached with SetDerived.
+	derived any
 }
 
 // FeatureMatrix returns the samples' feature vectors as rows.
@@ -329,16 +356,73 @@ func (d *Dataset) MeanFeature() []float64 {
 }
 
 // LabelDistribution returns the empirical class distribution over k
-// classes.
+// classes. A collected dataset answers from the counts tallied while
+// drawing; a hand-built one is scanned.
 func (d *Dataset) LabelDistribution(k int) []float64 {
 	counts := make([]float64, k)
-	for _, s := range d.Samples {
-		counts[s.Class]++
+	if len(d.counts) == k {
+		for c, n := range d.counts {
+			counts[c] = float64(n)
+		}
+	} else {
+		for _, s := range d.Samples {
+			counts[s.Class]++
+		}
 	}
 	return mathx.Normalize(counts)
 }
 
+// Derived returns the value last attached with SetDerived, or nil.
+func (d *Dataset) Derived() any { return d.derived }
+
+// SetDerived attaches a value computed from the dataset's samples, so
+// a package that derives something costly from an immutable dataset
+// (drift's fitted reference) computes it once and needs no cache of its
+// own: the value lives and dies with the dataset. One value is kept; a
+// later call replaces it.
+func (d *Dataset) SetDerived(v any) { d.derived = v }
+
 // Collect draws n samples from the stream into a Dataset.
 func Collect(s *Stream, n int) *Dataset {
-	return &Dataset{Task: s.Spec().Name, Samples: s.Sample(n)}
+	return CollectInto(s, n, nil)
+}
+
+// CollectInto draws n samples from the stream exactly as Collect does —
+// the same stream draws, so the same samples — but into the storage of
+// reuse, a dataset nobody reads any more: its Samples array, feature
+// block and class counts are overwritten when large enough and
+// reallocated otherwise. reuse may be nil; a hand-built reuse gives up
+// no storage. The returned Dataset is a new header; reuse is left
+// empty, so a stale holder sees no samples rather than another
+// period's.
+func CollectInto(s *Stream, n int, reuse *Dataset) *Dataset {
+	var samples []Sample
+	var block []float64
+	var counts []int
+	if reuse != nil {
+		if reuse.block != nil {
+			// Only a collected dataset owns its Samples array; a
+			// hand-built one may share it with a live dataset.
+			samples, block, counts = reuse.Samples, reuse.block, reuse.counts
+		}
+		*reuse = Dataset{}
+	}
+	ds := &Dataset{
+		Task:    s.spec.Name,
+		Samples: resize(samples, n),
+		block:   resize(block, n*s.spec.FeatureDim),
+		counts:  resize(counts, len(s.spec.Classes)),
+	}
+	clear(ds.counts)
+	s.draw(ds.Samples, ds.block, ds.counts)
+	return ds
+}
+
+// resize returns a slice of length n, reusing s's backing array when it
+// is large enough. The contents are left for the caller to overwrite.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
 }

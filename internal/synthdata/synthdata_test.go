@@ -242,6 +242,95 @@ func TestSampleFeaturesCapacityLimited(t *testing.T) {
 	}
 }
 
+// TestCollectIntoMatchesCollect draws the same sequence of pools from
+// two identically seeded streams, one with Collect and one recycling
+// each pool into the next with CollectInto — through a shrink, so the
+// recycled block is larger than the draw, and a grow. Every sample must
+// match bit for bit, the class counts must match a rescan, recycled
+// samples must stay capacity-limited, and the recycled dataset must be
+// left empty.
+func TestCollectIntoMatchesCollect(t *testing.T) {
+	fresh, err := NewStream(benchSpec(), 9)
+	if err != nil {
+		t.Fatal(err)
+	}
+	recycled, _ := NewStream(benchSpec(), 9)
+	var prev *Dataset
+	for _, n := range []int{500, 200, 3, 800} {
+		want := Collect(fresh, n)
+		got := CollectInto(recycled, n, prev)
+		if got == prev {
+			t.Fatal("CollectInto returned the recycled header")
+		}
+		if prev != nil && (prev.Samples != nil || prev.Derived() != nil) {
+			t.Fatal("recycled dataset not emptied")
+		}
+		if got.Task != want.Task || len(got.Samples) != n {
+			t.Fatalf("n=%d: dataset %q/%d", n, got.Task, len(got.Samples))
+		}
+		for i := range want.Samples {
+			w, g := want.Samples[i], got.Samples[i]
+			if w.Class != g.Class || w.Period != g.Period || cap(g.Features) != len(g.Features) {
+				t.Fatalf("n=%d sample %d: got %+v (cap %d), want %+v", n, i, g, cap(g.Features), w)
+			}
+			for j := range w.Features {
+				if math.Float64bits(w.Features[j]) != math.Float64bits(g.Features[j]) {
+					t.Fatalf("n=%d sample %d feature %d: %v != %v", n, i, j, g.Features[j], w.Features[j])
+				}
+			}
+		}
+		scan := (&Dataset{Samples: got.Samples}).LabelDistribution(4)
+		for c, p := range got.LabelDistribution(4) {
+			if p != scan[c] {
+				t.Fatalf("n=%d: tallied label mix %v, rescan %v", n, got.LabelDistribution(4), scan)
+			}
+		}
+		if n > 1 {
+			next := mathx.Clone(got.Samples[1].Features)
+			_ = append(got.Samples[0].Features, -1)
+			for j, x := range got.Samples[1].Features {
+				if x != next[j] {
+					t.Fatalf("n=%d: appending to sample 0 overwrote sample 1's feature %d", n, j)
+				}
+			}
+		}
+		fresh.AdvancePeriod()
+		recycled.AdvancePeriod()
+		prev = got
+	}
+}
+
+// TestCollectIntoLeavesHandBuiltStorage checks that a hand-built
+// dataset handed to CollectInto gives up no storage: its Samples array
+// may be shared with a live dataset.
+func TestCollectIntoLeavesHandBuiltStorage(t *testing.T) {
+	s, _ := NewStream(benchSpec(), 3)
+	live := Collect(s, 10)
+	keep := live.Samples[5]
+	got := CollectInto(s, 10, &Dataset{Samples: live.Samples[:5]})
+	if live.Samples[5].Class != keep.Class || &live.Samples[5].Features[0] != &keep.Features[0] {
+		t.Fatal("CollectInto wrote into a hand-built dataset's shared Samples array")
+	}
+	if &got.Samples[0] == &live.Samples[0] {
+		t.Fatal("CollectInto reused a hand-built dataset's Samples array")
+	}
+}
+
+// TestCollectIntoAllocsOnlyHeader guards the steady state of recycled
+// pool draws: once the storage fits, a draw allocates only the new
+// Dataset header, whatever the pool size.
+func TestCollectIntoAllocsOnlyHeader(t *testing.T) {
+	s, err := NewStream(benchSpec(), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ds := Collect(s, 8000)
+	runtime.GC()
+	if a := testing.AllocsPerRun(20, func() { ds = CollectInto(s, 8000, ds) }); a != 1 {
+		t.Fatalf("CollectInto(8000) into fitting storage allocates %v times, want 1", a)
+	}
+}
+
 func BenchmarkCollect(b *testing.B) {
 	s, err := NewStream(benchSpec(), 1)
 	if err != nil {

@@ -67,11 +67,11 @@ go test -run='^$' -fuzz=FuzzPlace -fuzztime=5s ./internal/cluster
 go test -run='^$' -fuzz=FuzzReplace -fuzztime=5s ./internal/cluster
 
 # Benchmark smoke: one iteration of each period-start benchmark
-# (pool sampling, drift detection, full ranking) and of the sharded
-# Scrooge session planner, so they keep compiling and running. It
-# gates on nothing else.
+# (pool sampling, recycled period advance, drift detection, full
+# ranking) and of the sharded Scrooge session planner, so they keep
+# compiling and running. It gates on nothing else.
 echo "== benchmark smoke =="
-go test -run '^$' -bench 'Collect|DetectNode|RankByDivergence|ScroogePlanSession' -benchtime 1x ./internal/synthdata ./internal/drift ./internal/baselines
+go test -run '^$' -bench 'Collect|AdvancePeriod|DetectNode|RankByDivergence|ScroogePlanSession' -benchtime 1x ./internal/synthdata ./internal/app ./internal/drift ./internal/baselines
 
 # Telemetry smoke: the no-op collector must stay allocation-free on
 # the serving hot path, and a traced run must emit a schema-valid
